@@ -71,7 +71,7 @@ int main() {
   std::printf("cluster of %zu links, %s placement, %zu slots:\n\n%s\n",
               result.metrics.link_count, to_string(config.placement),
               config.serving.steps,
-              result.session_table.to_pretty_string().c_str());
+              session_table(result).to_pretty_string().c_str());
   std::printf("per-link rollup:\n\n%s\n",
               result.link_table.to_pretty_string().c_str());
   std::printf(

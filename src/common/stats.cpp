@@ -91,21 +91,25 @@ double exact_quantile(std::vector<double> sample, double p) noexcept {
   return sample[idx];
 }
 
-LinearFit fit_linear(const std::vector<double>& x,
-                     const std::vector<double>& y) noexcept {
+namespace {
+
+/// Ordinary least squares over y against the axis `x(i)`; shared by the
+/// explicit-axis and index-axis entry points so both round identically.
+template <class Axis>
+LinearFit fit_line(Axis x, std::span<const double> y) noexcept {
   LinearFit fit;
-  if (x.size() != y.size() || x.size() < 2) return fit;
-  const auto n = static_cast<double>(x.size());
+  if (y.size() < 2) return fit;
+  const auto n = static_cast<double>(y.size());
   double sx = 0, sy = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sx += x[i];
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    sx += x(i);
     sy += y[i];
   }
   const double mx = sx / n;
   const double my = sy / n;
   double sxx = 0, sxy = 0, syy = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double dx = x[i] - mx;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    const double dx = x(i) - mx;
     const double dy = y[i] - my;
     sxx += dx * dx;
     sxy += dx * dy;
@@ -116,6 +120,20 @@ LinearFit fit_linear(const std::vector<double>& x,
   fit.intercept = my - fit.slope * mx;
   fit.r_squared = syy > 0.0 ? (sxy * sxy) / (sxx * syy) : 1.0;
   return fit;
+}
+
+}  // namespace
+
+LinearFit fit_linear(std::span<const double> x,
+                     std::span<const double> y) noexcept {
+  if (x.size() != y.size()) return LinearFit{};
+  return fit_line([x](std::size_t i) { return x[i]; }, y);
+}
+
+LinearFit fit_linear_indexed(std::size_t first,
+                             std::span<const double> y) noexcept {
+  return fit_line(
+      [first](std::size_t i) { return static_cast<double>(first + i); }, y);
 }
 
 }  // namespace arvis

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace arvis {
@@ -86,7 +87,12 @@ struct LinearFit {
 
 /// Fits a line to (x[i], y[i]) pairs. Requires x.size() == y.size() >= 2;
 /// returns a zero fit otherwise.
-LinearFit fit_linear(const std::vector<double>& x,
-                     const std::vector<double>& y) noexcept;
+LinearFit fit_linear(std::span<const double> x,
+                     std::span<const double> y) noexcept;
+
+/// fit_linear against the index axis x[i] = first + i, without
+/// materializing x — bit-identical to passing that axis explicitly.
+LinearFit fit_linear_indexed(std::size_t first,
+                             std::span<const double> y) noexcept;
 
 }  // namespace arvis

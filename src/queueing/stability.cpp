@@ -17,7 +17,7 @@ const char* to_string(StabilityVerdict verdict) noexcept {
   return "?";
 }
 
-StabilityReport analyze_stability(const std::vector<double>& backlog,
+StabilityReport analyze_stability(std::span<const double> backlog,
                                   double tail_fraction, double divergence_slope,
                                   double zero_threshold) {
   if (backlog.size() < 8) {
@@ -37,16 +37,11 @@ StabilityReport analyze_stability(const std::vector<double>& backlog,
       4, static_cast<std::size_t>(static_cast<double>(backlog.size()) *
                                   tail_fraction));
   const std::size_t start = backlog.size() - tail_len;
-  std::vector<double> t(tail_len);
-  std::vector<double> q(tail_len);
-  double tail_sum = 0.0;
-  for (std::size_t i = 0; i < tail_len; ++i) {
-    t[i] = static_cast<double>(start + i);
-    q[i] = backlog[start + i];
-    tail_sum += q[i];
-  }
-  report.tail_mean = tail_sum / static_cast<double>(tail_len);
-  report.tail_slope = fit_linear(t, q).slope;
+  const std::span<const double> q = backlog.subspan(start);
+  report.tail_mean =
+      std::accumulate(q.begin(), q.end(), 0.0) / static_cast<double>(tail_len);
+  // Regress the tail against its slot index t = start .. n-1.
+  report.tail_slope = fit_linear_indexed(start, q).slope;
 
   // First-half tail mean vs second-half tail mean: still growing?
   const std::size_t half = tail_len / 2;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace arvis {
@@ -38,8 +39,8 @@ struct StabilityReport {
 /// of the series (default: final third). A series is kDivergent when the tail
 /// slope exceeds `divergence_slope` (work units/slot) AND the tail mean keeps
 /// growing; kConvergentToZero when the tail mean is below `zero_threshold`.
-/// Preconditions: backlog.size() >= 8, fractions in (0, 1].
-StabilityReport analyze_stability(const std::vector<double>& backlog,
+/// Preconditions: backlog.size() >= 8, fractions in (0, 1]. Allocation-free.
+StabilityReport analyze_stability(std::span<const double> backlog,
                                   double tail_fraction = 1.0 / 3.0,
                                   double divergence_slope = 1.0,
                                   double zero_threshold = 1.0);

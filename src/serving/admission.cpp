@@ -34,6 +34,36 @@ double AdmissionController::cheapest_depth_load(
   return sum / static_cast<double>(cache.frame_count());
 }
 
+const AdmissionCurve& AdmissionController::curve(
+    const FrameStatsCache& cache, const std::vector<int>& candidates) {
+  if (candidates.empty()) {
+    throw std::invalid_argument("AdmissionController::curve: empty candidates");
+  }
+  const auto [lo, hi] = std::minmax_element(candidates.begin(), candidates.end());
+  const int d_min = *lo;
+  const int d_max = *hi;
+  for (const AdmissionCurve& c : curves_) {
+    if (c.cache == &cache && c.d_min == d_min && c.d_max == d_max) return c;
+  }
+  // First sighting: frame-major accumulation, then one division per depth —
+  // the order cheapest_depth_load sums in, so cheapest_load matches it bit
+  // for bit.
+  AdmissionCurve& c = curves_.emplace_back();
+  c.cache = &cache;
+  c.d_min = d_min;
+  c.d_max = d_max;
+  c.mean_bytes.assign(static_cast<std::size_t>(d_max) + 1, 0.0);
+  for (std::size_t t = 0; t < cache.frame_count(); ++t) {
+    const FrameWorkload& frame = cache.workload(t);
+    for (int d = d_min; d <= d_max; ++d) {
+      c.mean_bytes[static_cast<std::size_t>(d)] += frame.bytes(d);
+    }
+  }
+  for (double& b : c.mean_bytes) b /= static_cast<double>(cache.frame_count());
+  c.cheapest_load = c.mean_bytes[static_cast<std::size_t>(d_min)];
+  return c;
+}
+
 AdmissionDecision AdmissionController::try_admit(
     const FrameStatsCache& cache, const std::vector<int>& candidates) {
   if (candidates.empty()) {
@@ -42,34 +72,22 @@ AdmissionDecision AdmissionController::try_admit(
   ++stats_.attempts;
   AdmissionDecision decision;
   decision.residual_capacity = residual_capacity();
-
-  const int d_min = *std::min_element(candidates.begin(), candidates.end());
-  const int d_max = *std::max_element(candidates.begin(), candidates.end());
   if (!enabled_) {
-    // Forced admit: skip the per-frame load scans entirely (reserved_ is
-    // never consulted when disabled); admission imposes no depth cap.
-    decision.max_sustainable_depth = d_max;
+    // Forced admit: skip the load curve entirely (reserved_ is never
+    // consulted when disabled); admission imposes no depth cap.
+    decision.max_sustainable_depth =
+        *std::max_element(candidates.begin(), candidates.end());
     decision.admitted = true;
     ++stats_.accepted;
     return decision;
   }
-  decision.cheapest_load = cheapest_depth_load(cache, candidates);
-  {
-    // Mean per-depth byte curve over the candidate range, fed to the
-    // stability-region test: the session is admissible iff even its
-    // cheapest candidate depth is sustainable on what the link has left.
-    std::vector<double> mean_bytes(static_cast<std::size_t>(d_max) + 1, 0.0);
-    for (std::size_t t = 0; t < cache.frame_count(); ++t) {
-      const FrameWorkload& frame = cache.workload(t);
-      for (int d = d_min; d <= d_max; ++d) {
-        mean_bytes[static_cast<std::size_t>(d)] += frame.bytes(d);
-      }
-    }
-    for (double& b : mean_bytes) b /= static_cast<double>(cache.frame_count());
-    decision.max_sustainable_depth = max_sustainable_depth(
-        mean_bytes, decision.residual_capacity, d_min, d_max);
-    decision.admitted = decision.max_sustainable_depth >= d_min;
-  }
+  // The stability-region test: the session is admissible iff even its
+  // cheapest candidate depth is sustainable on what the link has left.
+  const AdmissionCurve& c = curve(cache, candidates);
+  decision.cheapest_load = c.cheapest_load;
+  decision.max_sustainable_depth = max_sustainable_depth(
+      c.mean_bytes, decision.residual_capacity, c.d_min, c.d_max);
+  decision.admitted = decision.max_sustainable_depth >= c.d_min;
   if (decision.admitted) {
     ++stats_.accepted;
     reserved_ += decision.cheapest_load;
@@ -77,8 +95,8 @@ AdmissionDecision AdmissionController::try_admit(
     ++stats_.rejected;
     log_info("admission: rejected session (cheapest load ",
              decision.cheapest_load, " B/slot vs residual ",
-             decision.residual_capacity, " B/slot, depths ", d_min, "..",
-             d_max, ")");
+             decision.residual_capacity, " B/slot, depths ", c.d_min, "..",
+             c.d_max, ")");
   }
   return decision;
 }

@@ -43,6 +43,21 @@ struct AdmissionDecision {
   int max_sustainable_depth = 0;
 };
 
+/// One content cache's admission inputs over a candidate depth range: the
+/// mean bytes/slot at every candidate depth across the cache's frames, and
+/// the cheapest (d_min) entry of that curve — the least load the session can
+/// impose while streaming at all. Computed once per cache and reused by
+/// every admission attempt that streams it.
+struct AdmissionCurve {
+  const FrameStatsCache* cache = nullptr;
+  int d_min = 0;
+  int d_max = 0;
+  /// == mean_bytes[d_min], bit for bit cheapest_depth_load().
+  double cheapest_load = 0.0;
+  /// Index = depth in [0, d_max]; entries below d_min are 0.
+  std::vector<double> mean_bytes;
+};
+
 /// Stability-region admission for one shared link. Not thread-safe; the
 /// session manager serializes arrivals.
 class AdmissionController {
@@ -57,8 +72,16 @@ class AdmissionController {
   [[nodiscard]] static double cheapest_depth_load(
       const FrameStatsCache& cache, const std::vector<int>& candidates);
 
+  /// The admission curve of `cache` over `candidates`' depth range,
+  /// computed on the first sighting of that (cache, range) pair and interned
+  /// for the controller's lifetime (few distinct caches per run; linear
+  /// lookup). The reference stays valid until the next first sighting.
+  /// Throws std::invalid_argument on an empty candidate set.
+  const AdmissionCurve& curve(const FrameStatsCache& cache,
+                              const std::vector<int>& candidates);
+
   /// Decides on one arriving session; on accept, reserves its cheapest-depth
-  /// load until release().
+  /// load until release(). Allocation-free once `cache` has been seen.
   AdmissionDecision try_admit(const FrameStatsCache& cache,
                               const std::vector<int>& candidates);
 
@@ -88,6 +111,7 @@ class AdmissionController {
   double scale_ = 1.0;  // fault-plane capacity multiplier
   double reserved_ = 0.0;
   AdmissionStats stats_;
+  std::vector<AdmissionCurve> curves_;  // interned, first-sighting order
 };
 
 }  // namespace arvis

@@ -5,6 +5,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "serving/admission.hpp"
@@ -43,6 +44,11 @@ struct EdgeCluster::Entry {
   /// session may bounce back onto a link where its old id is already
   /// retired).
   std::size_t runtime_id;
+  /// Slab position of the current segment in its link's session store,
+  /// recorded when the link admits it: the O(1) handle external closes go
+  /// through (request_close_at checks it still holds `runtime_id`), and the
+  /// segment's index among the link's finish() outcomes.
+  std::size_t slab_pos = 0;
   /// Times the session was re-placed after a link outage.
   std::uint32_t failovers = 0;
   /// Times the session completed a live migration between links.
@@ -131,7 +137,6 @@ std::size_t EdgeCluster::submit(const SessionSpec& spec) {
   links_.front()->validate_spec(spec);
 
   entries_.push_back(std::make_unique<Entry>(entries_.size(), spec));
-  metrics_.reserve_sessions(entries_.size());
   Entry* e = entries_.back().get();
   e->due = std::max(spec.arrival_slot, slot_);
   const auto begin =
@@ -165,8 +170,10 @@ void EdgeCluster::rank_links(const Entry& entry) {
                 });
       break;
     case PlacementPolicy::kBestFit: {
-      const double load = AdmissionController::cheapest_depth_load(
-          *entry.spec.cache, config_.serving.candidates);
+      // Every link shares the serving config, so any link's interned curve
+      // is the session's; link 0's is always there.
+      const double load =
+          links_.front()->admission_curve(*entry.spec.cache).cheapest_load;
       for (std::size_t i = 0; i < k; ++i) rank_[i] = i;
       // Links that fit rank first by tightness (smallest leftover); links
       // that cannot fit follow by descending residual (the least-bad spill).
@@ -209,12 +216,12 @@ void EdgeCluster::place_arrivals() {
     const std::size_t attempts =
         std::min(rank_.size(), config_.spill_limit + 1);
     int best_depth = std::numeric_limits<int>::min();
-    // Each attempt re-runs the link's admission scan (O(cached frames));
-    // placement happens once per session lifetime, never in the slot loop,
-    // so clarity wins over caching the load curve across attempts here.
+    // Each attempt reads the link's interned admission curve for the
+    // session's cache: no per-attempt scan over the cached frames.
     for (std::size_t a = 0; a < attempts; ++a) {
       const std::size_t k = rank_[a];
-      const AdmissionDecision decision = links_[k]->try_place(e.spec, e.id);
+      const AdmissionDecision decision =
+          links_[k]->try_place(e.spec, e.id, &e.slab_pos);
       best_depth = std::max(best_depth, decision.max_sustainable_depth);
       if (decision.admitted) {
         e.admitted = true;
@@ -367,7 +374,8 @@ void EdgeCluster::place_displaced() {
     bool replaced = false;
     for (std::size_t a = 0; a < attempts; ++a) {
       const std::size_t k = rank_[a];
-      const AdmissionDecision decision = links_[k]->try_place(e.spec, rid);
+      const AdmissionDecision decision =
+          links_[k]->try_place(e.spec, rid, &e.slab_pos);
       if (decision.admitted) {
         e.link = static_cast<int>(k);
         e.runtime_id = rid;
@@ -430,7 +438,7 @@ bool EdgeCluster::do_migrate(std::size_t session_id, std::size_t target_link,
   }
   const std::size_t rid = mint_runtime_id(session_id);
   const AdmissionDecision decision =
-      links_[target_link]->place_migrated(carried, rid);
+      links_[target_link]->place_migrated(carried, rid, &e.slab_pos);
   if (!decision.admitted) {
     // Abort: the target refused the load. The session already left its
     // source link, so it joins the displaced path — re-placement next slot,
@@ -728,8 +736,8 @@ bool EdgeCluster::request_close(std::size_t session_id) {
       ++fault_closed_;
       return true;
     }
-    return links_[static_cast<std::size_t>(e.link)]->request_close(
-        e.runtime_id);
+    return links_[static_cast<std::size_t>(e.link)]->request_close_at(
+        e.slab_pos, e.runtime_id);
   }
   if (!e.arrived && !e.cancelled) {
     e.cancelled = true;
@@ -791,30 +799,21 @@ ClusterResult EdgeCluster::finish() {
   }
   displaced_.clear();
 
-  // Close every link and index its outcomes by cluster session id. A
-  // failed-over session left retired segments on earlier links under older
-  // runtime ids; only the segment matching the entry's *current* runtime id
-  // is the one its report should carry.
+  // Close every link. A failed-over or migrated session left retired
+  // segments on earlier links under older runtime ids; its report carries
+  // the *current* segment, which sits at the entry's recorded slab position
+  // (a link's outcomes are in slab order).
   std::vector<ServingResult> link_results;
   link_results.reserve(links_.size());
   for (auto& link : links_) link_results.push_back(link->finish());
-  // entry id -> (link, index into that link's outcome list)
-  std::vector<std::pair<int, std::size_t>> where(entries_.size(), {-1, 0});
-  for (std::size_t k = 0; k < link_results.size(); ++k) {
-    const auto& sessions = link_results[k].sessions;
-    for (std::size_t j = 0; j < sessions.size(); ++j) {
-      const std::size_t owner = owner_of(sessions[j].id);
-      if (sessions[j].id == entries_[owner]->runtime_id) {
-        where[owner] = {static_cast<int>(k), j};
-      }
-    }
-  }
 
+  // One pass in submission order: build each outcome and fold the fleet
+  // aggregates from it.
   ClusterResult result;
   result.sessions.reserve(entries_.size());
   for (const auto& entry : entries_) {
     const Entry& e = *entry;
-    ClusterSessionOutcome out;
+    ClusterSessionOutcome& out = result.sessions.emplace_back();
     out.link = e.link;
     out.spilled = e.spilled;
     out.arrived = e.arrived;
@@ -822,15 +821,20 @@ ClusterResult EdgeCluster::finish() {
     out.migrations = e.migrations;
     out.fault_evicted = e.fault_evicted;
     if (e.admitted) {
-      out.session = std::move(
-          link_results[static_cast<std::size_t>(where[e.id].first)]
-              .sessions[where[e.id].second]);
+      std::vector<SessionOutcome>& segments =
+          link_results[static_cast<std::size_t>(e.link)].sessions;
+      ARVIS_DCHECK_LT(e.slab_pos, segments.size());
+      SessionOutcome& segment = segments[e.slab_pos];
+      ARVIS_DCHECK_MSG(segment.id == e.runtime_id,
+                       "entry slab position lost its segment");
+      out.session = std::move(segment);
       // The segment carries its per-link runtime id; report the cluster id.
       out.session.id = e.id;
     } else {
       // Refused everywhere (or never arrived): synthesize the same outcome
       // shape the single-link runtime reports.
       out.session.id = e.id;
+      out.session.arrived = e.arrived;
       out.session.admitted = false;
       out.session.arrival_slot = e.arrival_actual;
       out.session.departure_slot = e.arrived ? e.departure_actual
@@ -839,19 +843,9 @@ ClusterResult EdgeCluster::finish() {
       out.session.max_sustainable_depth =
           e.arrived ? e.max_sustainable_depth : 0;
     }
-
-    SessionMetrics metrics;
-    metrics.session_id = e.id;
-    metrics.arrived = e.arrived;
-    metrics.admitted = e.admitted;
-    metrics.arrival_slot = out.session.arrival_slot;
-    metrics.departure_slot = out.session.departure_slot;
-    metrics.weight = e.spec.weight;
-    metrics.has_summary = out.session.has_summary;
-    metrics.summary = out.session.summary;
-    metrics_.record_session(metrics);
-
-    result.sessions.push_back(std::move(out));
+    metrics_.record_session(
+        e.arrived, e.admitted,
+        out.session.has_summary ? &out.session.summary : nullptr);
   }
 
   result.metrics.link_count = links_.size();
@@ -877,38 +871,6 @@ ClusterResult EdgeCluster::finish() {
   }
   result.metrics.link_load_fairness = jain_fairness_index(link_used);
 
-  // Per-session report with link assignment.
-  CsvTable sessions({"session", "link", "placed", "spilled", "arrival",
-                     "departure", "weight", "avg_quality", "avg_backlog",
-                     "mean_depth", "verdict"});
-  for (const ClusterSessionOutcome& s : result.sessions) {
-    const SessionOutcome& o = s.session;
-    CsvCell link_cell = s.link >= 0
-                            ? CsvCell(static_cast<std::int64_t>(s.link))
-                            : CsvCell(std::monostate{});
-    if (o.has_summary) {
-      sessions.add_row(
-          {static_cast<std::int64_t>(o.id), link_cell, std::string("yes"),
-           std::string(s.spilled ? "yes" : "no"),
-           static_cast<std::int64_t>(o.arrival_slot),
-           static_cast<std::int64_t>(o.departure_slot), o.weight,
-           o.summary.time_average_quality, o.summary.time_average_backlog,
-           o.summary.mean_depth,
-           std::string(o.summary.partial
-                           ? "too-short"
-                           : to_string(o.summary.stability.verdict))});
-    } else {
-      sessions.add_row({static_cast<std::int64_t>(o.id), link_cell,
-                        std::string(o.admitted ? "yes" : "no"),
-                        std::string(s.spilled ? "yes" : "no"),
-                        static_cast<std::int64_t>(o.arrival_slot),
-                        static_cast<std::int64_t>(o.departure_slot), o.weight,
-                        std::monostate{}, std::monostate{}, std::monostate{},
-                        std::string("-")});
-    }
-  }
-  result.session_table = std::move(sessions);
-
   // Per-link rollup.
   CsvTable links({"link", "placed", "attempts", "accepted", "rejected",
                   "capacity_offered", "capacity_used", "utilization",
@@ -927,6 +889,41 @@ ClusterResult EdgeCluster::finish() {
   }
   result.link_table = std::move(links);
   return result;
+}
+
+CsvTable session_table(const ClusterResult& result) {
+  CsvTable table({"session", "link", "placed", "spilled", "arrival",
+                  "departure", "weight", "avg_quality", "avg_backlog",
+                  "mean_depth", "verdict"});
+  for (const ClusterSessionOutcome& s : result.sessions) {
+    const SessionOutcome& o = s.session;
+    // Empty for sessions no link holds (refused or never arrived).
+    const auto link_cell = [&s]() -> CsvCell {
+      if (s.link < 0) return std::monostate{};
+      return static_cast<std::int64_t>(s.link);
+    };
+    if (o.has_summary) {
+      table.add_row(
+          {static_cast<std::int64_t>(o.id), link_cell(), std::string("yes"),
+           std::string(s.spilled ? "yes" : "no"),
+           static_cast<std::int64_t>(o.arrival_slot),
+           static_cast<std::int64_t>(o.departure_slot), o.weight,
+           o.summary.time_average_quality, o.summary.time_average_backlog,
+           o.summary.mean_depth,
+           std::string(o.summary.partial
+                           ? "too-short"
+                           : to_string(o.summary.stability.verdict))});
+    } else {
+      table.add_row({static_cast<std::int64_t>(o.id), link_cell(),
+                     std::string(o.admitted ? "yes" : "no"),
+                     std::string(s.spilled ? "yes" : "no"),
+                     static_cast<std::int64_t>(o.arrival_slot),
+                     static_cast<std::int64_t>(o.departure_slot), o.weight,
+                     std::monostate{}, std::monostate{}, std::monostate{},
+                     std::string("-")});
+    }
+  }
+  return table;
 }
 
 // run_cluster_scenario is defined in serving/driver/event_loop.cpp: the

@@ -196,11 +196,13 @@ struct ClusterMetrics {
 struct ClusterResult {
   std::vector<ClusterSessionOutcome> sessions;  // submission order
   ClusterMetrics metrics;
-  /// Per-session report with link assignment.
-  CsvTable session_table = CsvTable({"session"});
   /// Per-link rollup (placed/utilization/fairness inputs).
   CsvTable link_table = CsvTable({"link"});
 };
+
+/// Per-session report with link assignment, rendered on demand from
+/// `result.sessions`; finish() builds no per-session table.
+[[nodiscard]] CsvTable session_table(const ClusterResult& result);
 
 /// The sharded serving runtime. Submit sessions up front (or between steps),
 /// then drive it one slot at a time with one capacity draw per link;

@@ -5,17 +5,21 @@
 namespace arvis {
 
 double jain_fairness_index(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
   double sum = 0.0, sum_sq = 0.0;
   for (double v : values) {
     sum += v;
     sum_sq += v * v;
   }
+  return jain_fairness_index(sum, sum_sq, values.size());
+}
+
+double jain_fairness_index(double sum, double sum_sq, std::size_t n) noexcept {
+  if (n == 0) return 0.0;
   // All-zero fleet: every session got the same (zero) outcome — perfectly
   // fair, not maximally unfair (the seed returned 0 here, which made an
   // idle fleet look pathological).
   if (sum_sq <= 0.0) return 1.0;
-  return sum * sum / (static_cast<double>(values.size()) * sum_sq);
+  return sum * sum / (static_cast<double>(n) * sum_sq);
 }
 
 void ServerMetrics::record_slot(double capacity_offered, double capacity_used,
@@ -25,72 +29,50 @@ void ServerMetrics::record_slot(double capacity_offered, double capacity_used,
   peak_concurrency_ = std::max(peak_concurrency_, active_sessions);
 }
 
-void ServerMetrics::record_session(SessionMetrics metrics) {
-  sessions_.push_back(std::move(metrics));
+void ServerMetrics::record_session(bool arrived, bool admitted,
+                                   const TraceSummary* summary) noexcept {
+  ++sessions_;
+  if (!arrived) return;  // admission never saw it
+  if (!admitted) {
+    ++rejected_;
+    return;
+  }
+  ++admitted_;
+  if (summary == nullptr) return;
+  const double quality = summary->time_average_quality;
+  ++summarized_;
+  quality_sum_ += quality;
+  quality_sum_sq_ += quality * quality;
+  backlog_sum_ += summary->time_average_backlog;
+  peak_backlog_ = std::max(peak_backlog_, summary->peak_backlog);
+  if (summary->partial) {
+    // Too short for a stability verdict, but its quality/backlog means are
+    // real — excluding them made churn-heavy fleets under-report.
+    ++partial_;
+  } else if (summary->stability.verdict == StabilityVerdict::kDivergent) {
+    ++divergent_;
+  }
 }
 
-FleetMetrics ServerMetrics::fleet() const {
+FleetMetrics ServerMetrics::fleet() const noexcept {
   FleetMetrics fleet;
-  fleet.sessions_submitted = sessions_.size();
+  fleet.sessions_submitted = sessions_;
+  fleet.sessions_admitted = admitted_;
+  fleet.sessions_rejected = rejected_;
   fleet.capacity_offered = capacity_offered_;
   fleet.capacity_used = capacity_used_;
   fleet.peak_concurrency = peak_concurrency_;
-
-  std::vector<double> qualities;
-  qualities.reserve(sessions_.size());
-  for (const SessionMetrics& s : sessions_) {
-    if (!s.arrived) continue;  // admission never saw it
-    if (!s.admitted) {
-      ++fleet.sessions_rejected;
-      continue;
-    }
-    ++fleet.sessions_admitted;
-    if (!s.has_summary) continue;
-    qualities.push_back(s.summary.time_average_quality);
-    fleet.mean_quality += s.summary.time_average_quality;
-    fleet.total_time_average_backlog += s.summary.time_average_backlog;
-    fleet.peak_backlog = std::max(fleet.peak_backlog, s.summary.peak_backlog);
-    if (s.summary.partial) {
-      // Too short for a stability verdict, but its quality/backlog means are
-      // real — excluding them made churn-heavy fleets under-report.
-      ++fleet.partial_summary_sessions;
-    } else if (s.summary.stability.verdict == StabilityVerdict::kDivergent) {
-      ++fleet.divergent_sessions;
-    }
+  fleet.mean_quality = quality_sum_;
+  if (summarized_ > 0) {
+    fleet.mean_quality /= static_cast<double>(summarized_);
   }
-  if (!qualities.empty()) {
-    fleet.mean_quality /= static_cast<double>(qualities.size());
-  }
-  fleet.quality_fairness = jain_fairness_index(qualities);
+  fleet.quality_fairness =
+      jain_fairness_index(quality_sum_, quality_sum_sq_, summarized_);
+  fleet.total_time_average_backlog = backlog_sum_;
+  fleet.peak_backlog = peak_backlog_;
+  fleet.divergent_sessions = divergent_;
+  fleet.partial_summary_sessions = partial_;
   return fleet;
-}
-
-CsvTable ServerMetrics::session_table() const {
-  CsvTable table({"session", "admitted", "arrival", "departure", "weight",
-                  "avg_quality", "avg_backlog", "mean_depth", "verdict"});
-  for (const SessionMetrics& s : sessions_) {
-    if (s.admitted && s.has_summary) {
-      table.add_row({static_cast<std::int64_t>(s.session_id),
-                     std::string("yes"),
-                     static_cast<std::int64_t>(s.arrival_slot),
-                     static_cast<std::int64_t>(s.departure_slot), s.weight,
-                     s.summary.time_average_quality,
-                     s.summary.time_average_backlog, s.summary.mean_depth,
-                     std::string(s.summary.partial
-                                     ? "too-short"
-                                     : to_string(s.summary.stability.verdict))});
-    } else {
-      table.add_row({static_cast<std::int64_t>(s.session_id),
-                     std::string(!s.arrived     ? "never-arrived"
-                                 : s.admitted   ? "yes"
-                                                : "no"),
-                     static_cast<std::int64_t>(s.arrival_slot),
-                     static_cast<std::int64_t>(s.departure_slot), s.weight,
-                     std::monostate{}, std::monostate{}, std::monostate{},
-                     std::string("-")});
-    }
-  }
-  return table;
 }
 
 }  // namespace arvis

@@ -1,17 +1,12 @@
-// Fleet-level serving metrics: per-session outcomes plus the aggregates the
-// operator dashboards care about (fairness, backlog, capacity utilization,
-// admission counts). Home of jain_fairness_index, which moved here from
+// Fleet-level serving metrics: the aggregates the operator dashboards care
+// about (fairness, backlog, capacity utilization, admission counts). Home of jain_fairness_index, which moved here from
 // net/edge when the edge scenario became a thin wrapper over the serving
 // runtime.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <limits>
-#include <string>
 #include <vector>
 
-#include "common/csv.hpp"
 #include "sim/trace.hpp"
 
 namespace arvis {
@@ -21,30 +16,9 @@ namespace arvis {
 /// session dominates. Empty input returns 0 (no fleet, no fairness).
 double jain_fairness_index(const std::vector<double>& values);
 
-/// One session's lifecycle outcome.
-struct SessionMetrics {
-  std::size_t session_id = 0;
-  /// False for a session whose arrival slot was never reached before the
-  /// run ended: admission never saw it, so it counts as neither admitted
-  /// nor rejected.
-  bool arrived = false;
-  bool admitted = false;
-  std::size_t arrival_slot = 0;
-  /// First slot the session was no longer active (== arrival_slot for a
-  /// rejected session).
-  std::size_t departure_slot = 0;
-  double weight = 1.0;
-  /// True when `summary` is populated: any admitted session with a non-empty
-  /// trace. Sessions active < 8 slots carry a *partial* summary
-  /// (summary.partial — means valid, stability verdict reported as
-  /// "too-short"), so churn-heavy fleets no longer under-report.
-  bool has_summary = false;
-  TraceSummary summary;
-
-  [[nodiscard]] std::size_t slots_active() const noexcept {
-    return departure_slot - arrival_slot;
-  }
-};
+/// The same index from running sums over `n` values (Σx and Σx² accumulated
+/// left to right) — bit-identical to jain_fairness_index on those values.
+double jain_fairness_index(double sum, double sum_sq, std::size_t n) noexcept;
 
 /// Fleet aggregates over one serving run.
 struct FleetMetrics {
@@ -84,29 +58,22 @@ struct FleetMetrics {
 };
 
 /// Aggregate builder the serving runtime feeds slot by slot and session by
-/// session; turns into FleetMetrics and report tables at the end.
+/// session; turns into FleetMetrics at the end. Sessions fold into running
+/// sums as they are recorded — nothing per session is kept — in exactly the
+/// order and arithmetic of a pass over the recorded sessions, so the
+/// aggregates are bit-identical to that pass.
 class ServerMetrics {
  public:
   /// Records one slot's link-level outcome.
   void record_slot(double capacity_offered, double capacity_used,
                    std::size_t active_sessions);
 
-  /// Records one finished (or rejected) session.
-  void record_session(SessionMetrics metrics);
-
-  /// Pre-sizes the per-session record vector for an expected session count
-  /// (geometric growth, so calling it per submit stays amortized O(1)).
-  /// The runtime calls it at submit time, so the finish-time
-  /// record_session loop never reallocates mid-aggregation.
-  void reserve_sessions(std::size_t expected) {
-    if (sessions_.capacity() < expected) {
-      sessions_.reserve(std::max(expected, sessions_.capacity() * 2));
-    }
-  }
-
-  [[nodiscard]] const std::vector<SessionMetrics>& sessions() const noexcept {
-    return sessions_;
-  }
+  /// Folds one finished (or rejected, or never-arrived) session. `arrived`
+  /// is false when admission never saw it (it then counts as neither
+  /// admitted nor rejected); `summary` is null unless the session was
+  /// admitted and streamed at least one slot.
+  void record_session(bool arrived, bool admitted,
+                      const TraceSummary* summary) noexcept;
 
   // Running slot totals, readable mid-run (the event-driven driver samples
   // them for its periodic metrics snapshots; fleet() stays an end-of-run
@@ -118,19 +85,24 @@ class ServerMetrics {
     return capacity_used_;
   }
 
-  /// Computes the fleet aggregates from everything recorded so far.
-  [[nodiscard]] FleetMetrics fleet() const;
-
-  /// Per-session report: one row per session (id, admitted, window, weight,
-  /// quality, backlog, depth, verdict) — the serving-side analogue of
-  /// analysis/report's summary_table.
-  [[nodiscard]] CsvTable session_table() const;
+  /// The fleet aggregates over everything recorded so far.
+  [[nodiscard]] FleetMetrics fleet() const noexcept;
 
  private:
-  std::vector<SessionMetrics> sessions_;
   double capacity_offered_ = 0.0;
   double capacity_used_ = 0.0;
   std::size_t peak_concurrency_ = 0;
+  std::size_t sessions_ = 0;
+  std::size_t admitted_ = 0;
+  std::size_t rejected_ = 0;
+  std::size_t divergent_ = 0;
+  std::size_t partial_ = 0;
+  // Over summarized sessions: count, Σ quality, Σ quality², Σ backlog, peak.
+  std::size_t summarized_ = 0;
+  double quality_sum_ = 0.0;
+  double quality_sum_sq_ = 0.0;
+  double backlog_sum_ = 0.0;
+  double peak_backlog_ = 0.0;
 };
 
 }  // namespace arvis

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace arvis {
 
@@ -117,7 +118,6 @@ std::size_t SessionManager::submit(const SessionSpec& spec) {
   validate_spec(spec);
   ServingSession& s = store_.create(store_.session_count(), spec);
   s.due_slot = std::max(spec.arrival_slot, slot_);
-  metrics_.reserve_sessions(store_.session_count());
   // Keep pending_ sorted by (due, id). Ids grow with submission order, so
   // the insertion point is found among the not-yet-consumed suffix; same-due
   // sessions stay in submission order, preserving admission ordering.
@@ -168,7 +168,7 @@ void SessionManager::admit_arrivals() {
     ServingSession& s = *pending_[pending_head_++];
     // Cancelled by an external-close event before arrival: admission never
     // sees it; it stays kPending and reports as never-arrived.
-    if (s.cancelled) continue;
+    if (s.close_requested) continue;
     const AdmissionDecision decision =
         admission_.try_admit(*s.spec.cache, config_.candidates);
     s.admitted = decision.admitted;
@@ -206,7 +206,8 @@ void SessionManager::admit_arrivals() {
 }
 
 AdmissionDecision SessionManager::try_place(const SessionSpec& spec,
-                                            std::size_t session_id) {
+                                            std::size_t session_id,
+                                            std::size_t* position) {
   if (finished_) {
     throw std::logic_error("SessionManager::try_place: already finished");
   }
@@ -225,8 +226,8 @@ AdmissionDecision SessionManager::try_place(const SessionSpec& spec,
     }
     return decision;
   }
+  if (position != nullptr) *position = store_.session_count();
   ServingSession& s = store_.create(session_id, spec);
-  metrics_.reserve_sessions(store_.session_count());
   s.admitted = true;
   s.cheapest_load = decision.cheapest_load;
   s.max_sustainable_depth = decision.max_sustainable_depth;
@@ -242,26 +243,26 @@ AdmissionDecision SessionManager::try_place(const SessionSpec& spec,
 }
 
 bool SessionManager::request_close(std::size_t session_id) {
+  return request_close_at(session_id, session_id);
+}
+
+bool SessionManager::request_close_at(std::size_t position,
+                                      std::size_t session_id) {
   if (finished_) {
     throw std::logic_error("SessionManager::request_close: already finished");
   }
-  ServingSession* s = store_.find(session_id);
-  if (s == nullptr) return false;
-  switch (s->phase) {
-    case SessionPhase::kClosed:
-      return false;
-    case SessionPhase::kActive:
-      // Departing "now": close_departures() retires departure_slot <= slot_
-      // at the next begin_slot(), before this slot streams.
-      s->spec.departure_slot = slot_;
-      store_.mirror_departure(*s);
-      return true;
-    case SessionPhase::kPending:
-      if (s->cancelled) return false;
-      s->cancelled = true;
-      return true;
+  if (position >= store_.session_count()) return false;
+  ServingSession& s = store_.session(position);
+  if (s.id != session_id) return false;
+  if (s.phase == SessionPhase::kClosed || s.close_requested) return false;
+  s.close_requested = true;
+  if (s.phase == SessionPhase::kActive) {
+    // Departing "now": close_departures() retires departure_slot <= slot_
+    // at the next begin_slot(), before this slot streams.
+    s.spec.departure_slot = slot_;
+    store_.mirror_departure(s);
   }
-  return false;
+  return true;
 }
 
 void SessionManager::begin_slot() {
@@ -383,8 +384,10 @@ bool SessionManager::extract_session(std::size_t session_id,
 }
 
 AdmissionDecision SessionManager::place_migrated(
-    const MigratedSession& migrated, std::size_t session_id) {
-  const AdmissionDecision decision = try_place(migrated.spec, session_id);
+    const MigratedSession& migrated, std::size_t session_id,
+    std::size_t* position) {
+  const AdmissionDecision decision =
+      try_place(migrated.spec, session_id, position);
   // try_place activated the session at the back of the active list with a
   // fresh stream; resume the carried one instead.
   if (decision.admitted) store_.inject_hot_state(migrated.hot);
@@ -571,6 +574,8 @@ ServingResult SessionManager::finish() {
                          admission_.release(s.cheapest_load);
                        });
 
+  // One pass in slab order: build each outcome, summarize its trace in
+  // place, and fold the fleet aggregates from it.
   ServingResult result;
   result.admission = admission_.stats();
   result.sessions.reserve(store_.session_count());
@@ -580,34 +585,51 @@ ServingResult SessionManager::finish() {
     // admitted with an empty window (admission never saw it).
     if (s.phase == SessionPhase::kPending) s.departure_actual = s.arrival_actual;
 
-    SessionMetrics metrics;
-    metrics.session_id = s.id;
-    metrics.arrived = s.phase != SessionPhase::kPending;
-    metrics.admitted = s.admitted;
-    metrics.arrival_slot = s.arrival_actual;
-    metrics.departure_slot = s.departure_actual;
-    metrics.weight = s.spec.weight;
-    if (s.admitted && !s.trace.empty()) {
-      metrics.has_summary = true;
-      metrics.summary = s.trace.summarize_partial();
-    }
-    metrics_.record_session(metrics);
-
-    SessionOutcome outcome;
+    SessionOutcome& outcome = result.sessions.emplace_back();
     outcome.id = s.id;
+    outcome.arrived = s.phase != SessionPhase::kPending;
     outcome.admitted = s.admitted;
     outcome.arrival_slot = s.arrival_actual;
     outcome.departure_slot = s.departure_actual;
     outcome.weight = s.spec.weight;
     outcome.max_sustainable_depth = s.max_sustainable_depth;
-    outcome.has_summary = metrics.has_summary;
-    outcome.summary = metrics.summary;
+    if (s.admitted && !s.trace.empty()) {
+      outcome.has_summary = true;
+      outcome.summary = s.trace.summarize_partial();
+    }
+    metrics_.record_session(outcome.arrived, outcome.admitted,
+                            outcome.has_summary ? &outcome.summary : nullptr);
     outcome.trace = std::move(s.trace);
-    result.sessions.push_back(std::move(outcome));
   }
   result.fleet = metrics_.fleet();
-  result.session_table = metrics_.session_table();
   return result;
+}
+
+CsvTable session_table(const ServingResult& result) {
+  CsvTable table({"session", "admitted", "arrival", "departure", "weight",
+                  "avg_quality", "avg_backlog", "mean_depth", "verdict"});
+  for (const SessionOutcome& s : result.sessions) {
+    if (s.admitted && s.has_summary) {
+      table.add_row({static_cast<std::int64_t>(s.id), std::string("yes"),
+                     static_cast<std::int64_t>(s.arrival_slot),
+                     static_cast<std::int64_t>(s.departure_slot), s.weight,
+                     s.summary.time_average_quality,
+                     s.summary.time_average_backlog, s.summary.mean_depth,
+                     std::string(s.summary.partial
+                                     ? "too-short"
+                                     : to_string(s.summary.stability.verdict))});
+    } else {
+      table.add_row({static_cast<std::int64_t>(s.id),
+                     std::string(!s.arrived     ? "never-arrived"
+                                 : s.admitted   ? "yes"
+                                                : "no"),
+                     static_cast<std::int64_t>(s.arrival_slot),
+                     static_cast<std::int64_t>(s.departure_slot), s.weight,
+                     std::monostate{}, std::monostate{}, std::monostate{},
+                     std::string("-")});
+    }
+  }
+  return table;
 }
 
 // run_serving_scenario is defined in serving/driver/event_loop.cpp: the

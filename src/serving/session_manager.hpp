@@ -32,6 +32,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/csv.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "net/channel.hpp"
@@ -108,6 +109,9 @@ struct ServingConfig {
 /// One session's run record.
 struct SessionOutcome {
   std::size_t id = 0;
+  /// False when the run ended before the session's arrival slot: admission
+  /// never saw it, so it counts as neither admitted nor rejected.
+  bool arrived = false;
   bool admitted = false;
   /// Slot the session actually became active. Equals the spec's
   /// arrival_slot unless the spec was submitted between steps with an
@@ -132,9 +136,13 @@ struct ServingResult {
   std::vector<SessionOutcome> sessions;  // in submission order
   AdmissionStats admission;
   FleetMetrics fleet;
-  /// Per-session report table (ServerMetrics::session_table()).
-  CsvTable session_table = CsvTable({"session"});
 };
+
+/// Per-session report: one row per session (id, admitted, window, weight,
+/// quality, backlog, depth, verdict) — the serving-side analogue of
+/// analysis/report's summary_table. Rendered on demand from
+/// `result.sessions`; finish() builds no table.
+[[nodiscard]] CsvTable session_table(const ServingResult& result);
 
 /// The serving runtime. Submit sessions up front (or between steps), then
 /// drive it one slot at a time; finish() closes the books. Not thread-safe —
@@ -238,8 +246,10 @@ class SessionManager {
   /// another session's randomness). On reject nothing is recorded beyond
   /// admission stats — the caller may spill the session to another link.
   /// Same validation as submit(). Call between begin_slot() and the decide
-  /// phase.
-  AdmissionDecision try_place(const SessionSpec& spec, std::size_t session_id);
+  /// phase. On accept, `*position` (when non-null) receives the session's
+  /// slab position — the handle request_close_at() takes.
+  AdmissionDecision try_place(const SessionSpec& spec, std::size_t session_id,
+                              std::size_t* position = nullptr);
 
   /// The link's admission state (reserved load / residual capacity), for
   /// external placement policies.
@@ -247,13 +257,23 @@ class SessionManager {
     return admission_;
   }
 
-  /// External-close control: ends session `session_id` at the current slot.
-  /// An active session departs before this slot streams (its trace covers
-  /// [arrival, now)); a still-pending session is cancelled and reports as
-  /// never-arrived. Returns false for unknown or already-closed ids, true
-  /// when the close/cancel took effect. Call between slots or before the
-  /// decide phase (the driver fires close events before stepping the slot).
+  /// External-close control: ends submitted session `session_id` at the
+  /// current slot. An active session departs before this slot streams (its
+  /// trace covers [arrival, now)); a still-pending session is cancelled and
+  /// reports as never-arrived. Returns false for unknown, already-closed or
+  /// already-closing ids (a repeated close is a no-op), true when the
+  /// close/cancel took effect. Call between slots or
+  /// before the decide phase (the driver fires close events before stepping
+  /// the slot). O(1): a submit() id is its slab position, so this is
+  /// request_close_at(session_id, session_id). Sessions created by
+  /// try_place() under caller-assigned ids close via request_close_at().
   bool request_close(std::size_t session_id);
+
+  /// request_close for the session at slab `position` (as reported by
+  /// try_place/place_migrated). Returns false — and touches nothing — when
+  /// the position is out of range or holds a session whose id is not
+  /// `session_id`.
+  bool request_close_at(std::size_t position, std::size_t session_id);
 
   /// The spec checks submit()/try_place() apply (null cache, candidate
   /// range, window ordering, elapsed departure, negative weight). Public so
@@ -296,8 +316,17 @@ class SessionManager {
   /// sequence continues bit for bit when source and target links are
   /// equivalent. The candidate ceiling is *this* link's brownout state, not
   /// the source's. Call between begin_slot() and the decide phase.
+  /// `position` as for try_place.
   AdmissionDecision place_migrated(const MigratedSession& migrated,
-                                   std::size_t session_id);
+                                   std::size_t session_id,
+                                   std::size_t* position = nullptr);
+
+  /// This link's interned admission curve for `cache` over the configured
+  /// candidates (AdmissionController::curve) — placement policies that rank
+  /// links by a session's load read it instead of rescanning the cache.
+  const AdmissionCurve& admission_curve(const FrameStatsCache& cache) {
+    return admission_.curve(cache, config_.candidates);
+  }
 
   /// Active session i's runtime id — the handover candidate scan, paired
   /// with the index-parallel active_backlogs() span.

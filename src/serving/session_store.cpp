@@ -68,18 +68,11 @@ SessionStore::SessionStore(std::vector<int> candidates, double v)
 }
 
 ServingSession& SessionStore::create(std::size_t id, const SessionSpec& spec) {
-  slab_.emplace_back(id, spec);
-  return slab_.back();
-}
-
-ServingSession* SessionStore::find(std::size_t id) noexcept {
-  // Linear: slab ids are NOT guaranteed sorted (EdgeCluster places sessions
-  // in (due slot, id) order, so a link can create id 7 before id 3), and
-  // closes are rare calendar events, never per-slot work.
-  for (ServingSession& s : slab_) {
-    if (s.id == id) return &s;
+  if (slab_size_ % kSlabChunk == 0) {
+    slab_.emplace_back().reserve(kSlabChunk);  // a chunk never reallocates
   }
-  return nullptr;
+  ++slab_size_;
+  return slab_.back().emplace_back(id, spec);
 }
 
 std::size_t SessionStore::intern(const FrameStatsCache& cache) {

@@ -51,7 +51,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <span>
@@ -144,9 +143,11 @@ struct ServingSession {
   Rng rng;
   SessionPhase phase = SessionPhase::kPending;
   bool admitted = false;
-  /// Cancelled by an external-close control event before it ever arrived;
-  /// admission skips it and it reports as never-arrived.
-  bool cancelled = false;
+  /// An external close was applied. Before arrival it cancels the session:
+  /// admission skips it and it reports as never-arrived. While active it
+  /// marks the departure the close scheduled, so a repeated close is
+  /// refused instead of re-applied.
+  bool close_requested = false;
   int max_sustainable_depth = 0;
   double cheapest_load = 0.0;
   /// First slot admission may consider this session: the declared arrival,
@@ -190,15 +191,14 @@ class SessionStore {
   /// submission order) but must be unique within one store.
   ServingSession& create(std::size_t id, const SessionSpec& spec);
   [[nodiscard]] std::size_t session_count() const noexcept {
-    return slab_.size();
+    return slab_size_;
   }
-  /// Insertion-order access (the finish() walk).
+  /// Insertion-order access: the finish() walk, and the external-close path,
+  /// which addresses a session by the slab position its creator recorded.
   [[nodiscard]] ServingSession& session(std::size_t pos) noexcept {
-    return slab_[pos];
+    ARVIS_DCHECK_LT(pos, slab_size_);
+    return slab_[pos / kSlabChunk][pos % kSlabChunk];
   }
-  /// Slab record with the given id, nullptr when unknown. O(sessions) —
-  /// used by the rare external-close path only, never per slot.
-  [[nodiscard]] ServingSession* find(std::size_t id) noexcept;
 
   // --- active list + hot mirrors ------------------------------------------
 
@@ -586,7 +586,17 @@ class SessionStore {
   /// degradation policy is idle). Fixed size; never reallocates.
   std::vector<std::uint32_t> tier_limit_;
 
-  std::deque<ServingSession> slab_;        // insertion order, stable refs
+  /// The slab: cold records in insertion order, in fixed-capacity chunks
+  /// that are reserved up front and never grow past it, so references stay
+  /// stable (sessions are addressed by pointer from the active list) while
+  /// consecutive records stay contiguous. The drain phase reads each active
+  /// session's record every slot, in activation order; a container with a
+  /// node per few records interleaves them with the per-session trace
+  /// buffers allocated in between, turning that walk into scattered misses
+  /// (README, Performance, has the measurement).
+  static constexpr std::size_t kSlabChunk = 256;
+  std::vector<std::vector<ServingSession>> slab_;
+  std::size_t slab_size_ = 0;
   std::vector<ServingSession*> active_;    // admission order
 
   // Hot SoA mirrors, index-parallel with active_.

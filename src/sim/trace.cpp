@@ -71,8 +71,13 @@ TraceSummary Trace::summarize_partial() const {
   // every slot.
   const double zero_threshold = std::max(1.0, 2.0 * summary.mean_arrivals);
   const double divergence_slope = std::max(1.0, 0.02 * summary.mean_arrivals);
-  summary.stability = analyze_stability(backlog_series(), 1.0 / 3.0,
-                                        divergence_slope, zero_threshold);
+  // One reused per-thread series instead of a fresh copy per summary: the
+  // serving runtime summarizes every session at finish().
+  thread_local std::vector<double> backlog;
+  backlog.clear();
+  for (const StepRecord& s : steps_) backlog.push_back(s.backlog_begin);
+  summary.stability = analyze_stability(backlog, 1.0 / 3.0, divergence_slope,
+                                        zero_threshold);
   return summary;
 }
 

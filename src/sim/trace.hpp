@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/csv.hpp"
@@ -48,7 +49,7 @@ class Trace {
   [[nodiscard]] const StepRecord& at(std::size_t i) const {
     return steps_.at(i);
   }
-  [[nodiscard]] const std::vector<StepRecord>& steps() const noexcept {
+  [[nodiscard]] std::span<const StepRecord> steps() const noexcept {
     return steps_;
   }
 
@@ -67,7 +68,9 @@ class Trace {
   /// >= 8 slots it returns the full summary, otherwise a partial one
   /// (means/peaks valid, `partial` set, no stability verdict). Short-lived
   /// churned sessions still throw on an *empty* trace — there is nothing
-  /// to summarize.
+  /// to summarize. Allocation-free once the calling thread has summarized a
+  /// trace at least this long (the backlog series lives in a reused
+  /// per-thread scratch buffer).
   [[nodiscard]] TraceSummary summarize_partial() const;
 
   /// Full per-slot CSV (t, depth, arrivals, service, backlog, quality).

@@ -294,15 +294,15 @@ TEST(EdgeClusterTest, MetricsRollUpAcrossLinks) {
 
   // Report tables: one row per session / per link, link column populated for
   // placed sessions.
-  EXPECT_EQ(result.session_table.row_count(), result.sessions.size());
+  const CsvTable table = session_table(result);
+  EXPECT_EQ(table.row_count(), result.sessions.size());
   EXPECT_EQ(result.link_table.row_count(), 4U);
   for (std::size_t i = 0; i < result.sessions.size(); ++i) {
     if (result.sessions[i].link >= 0) {
-      EXPECT_EQ(std::get<std::int64_t>(result.session_table.at(i, 1)),
+      EXPECT_EQ(std::get<std::int64_t>(table.at(i, 1)),
                 result.sessions[i].link);
     } else {
-      EXPECT_TRUE(std::holds_alternative<std::monostate>(
-          result.session_table.at(i, 1)));
+      EXPECT_TRUE(std::holds_alternative<std::monostate>(table.at(i, 1)));
     }
   }
 }
@@ -388,6 +388,134 @@ TEST(AllocationProbeTest, ClusterSteadyStateStepIsAllocationFree) {
       << "steady-state cluster loop performed " << (after - before)
       << " heap allocations over 60 slots";
   static_cast<void>(cluster.finish());
+}
+
+TEST(AllocationProbeTest, AdmissionAttemptIsAllocationFreeOnceCacheSeen) {
+  const std::vector<int> candidates{3, 4, 5, 6};
+  const double load = cheapest_load(candidates);
+  AdmissionController controller(AdmissionConfig{}, 2.5 * load);
+  // First sighting interns the cache's admission curve.
+  const AdmissionDecision first = controller.try_admit(shared_cache(), candidates);
+  ASSERT_TRUE(first.admitted);
+  EXPECT_EQ(first.cheapest_load, load);  // bit for bit the static scan
+
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  std::size_t rejected = 0;
+  for (int i = 0; i < 8; ++i) {
+    if (!controller.try_admit(shared_cache(), candidates).admitted) ++rejected;
+  }
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_GT(rejected, 0U);  // the window covered refusals as well as accepts
+  EXPECT_EQ(after - before, 0U)
+      << "try_admit performed " << (after - before) << " heap allocations";
+}
+
+TEST(AllocationProbeTest, RefusedArrivalPlacementIsAllocationFree) {
+  // Two links with room for one session each, spill enabled: once both
+  // links stream, every later arrival tries both links and is refused.
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.serving.steps = 40;
+  config.spill_limit = 1;
+  const double load = cheapest_load(config.serving.candidates);
+  const std::vector<double> caps{1.5 * load, 1.5 * load};
+  EdgeCluster cluster(config, caps);
+  for (std::size_t i = 0; i < 4; ++i) {
+    SessionSpec spec;
+    spec.cache = &shared_cache();
+    spec.arrival_slot = i < 2 ? 0 : 3 * i;  // slots 0, 0, 6, 9
+    spec.seed = i;
+    cluster.submit(spec);
+  }
+  // Warm-up through the first refusal (slot 6).
+  for (int t = 0; t < 8; ++t) cluster.step(caps);
+  ASSERT_EQ(cluster.placement_rejects(), 1U);
+  const std::size_t attempts_before =
+      cluster.link(0).admission_stats().attempts +
+      cluster.link(1).admission_stats().attempts;
+
+  // Slot 8 is quiet, slot 9 refuses the last arrival on both links.
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  cluster.step(caps);
+  cluster.step(caps);
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(cluster.placement_rejects(), 2U);
+  EXPECT_EQ(cluster.link(0).admission_stats().attempts +
+                cluster.link(1).admission_stats().attempts,
+            attempts_before + 2);  // every link was tried
+  EXPECT_EQ(after - before, 0U)
+      << "refused placement performed " << (after - before)
+      << " heap allocations";
+  static_cast<void>(cluster.finish());
+}
+
+// ------------------------------------------------ report table golden ----
+
+/// A small mixed run covering every session_table row shape: full-window,
+/// too-short, spilled (cluster), rejected and never-arrived sessions.
+std::vector<SessionSpec> golden_specs() {
+  struct Window {
+    std::size_t arrival, departure;
+    double weight;
+  };
+  const Window windows[] = {{0, kNeverDeparts, 1.0},
+                            {0, 4, 2.0},
+                            {5, kNeverDeparts, 1.0},
+                            {6, kNeverDeparts, 2.0},
+                            {100, kNeverDeparts, 1.0}};
+  std::vector<SessionSpec> specs;
+  for (const Window& w : windows) {
+    SessionSpec spec;
+    spec.cache = &shared_cache();
+    spec.arrival_slot = w.arrival;
+    spec.departure_slot = w.departure;
+    spec.weight = w.weight;
+    spec.seed = 500 + specs.size();
+    specs.push_back(spec);
+  }
+  return specs;
+}
+
+TEST(SessionTableGoldenTest, OnDemandTablesReproduceTheFinishTimeText) {
+  // The expected text is what finish() rendered into the result's table
+  // fields before the tables became on-demand functions.
+  ServingConfig serving = base_serving_config();
+  serving.steps = 40;
+  const double load = cheapest_load(serving.candidates);
+
+  ConstantChannel single(2.5 * load);
+  const ServingResult served =
+      run_serving_scenario(serving, golden_specs(), single);
+  EXPECT_EQ(session_table(served).to_string(),
+            "session,admitted,arrival,departure,weight,avg_quality,"
+            "avg_backlog,mean_depth,verdict\n"
+            "0,yes,0,40,1,2.4974918933711185,3257.26875,4.15,divergent\n"
+            "1,yes,0,4,2,3.1931988571689898,1254.6328125,5.25,too-short\n"
+            "2,yes,5,40,1,2.5095340678548133,3124.6383928571427,"
+            "4.171428571428572,divergent\n"
+            "3,no,6,6,2,,,,-\n"
+            "4,never-arrived,100,100,1,,,,-\n");
+
+  ClusterConfig config;
+  config.serving = serving;
+  config.placement = PlacementPolicy::kRoundRobin;
+  ConstantChannel link0(1.5 * load), link1(1.5 * load);
+  const std::vector<ChannelModel*> links{&link0, &link1};
+  const ClusterResult cluster =
+      run_cluster_scenario(config, golden_specs(), links);
+  ASSERT_EQ(cluster.metrics.spills, 1U);
+  ASSERT_EQ(cluster.metrics.placement_rejects, 1U);
+  EXPECT_EQ(session_table(cluster).to_string(),
+            "session,link,placed,spilled,arrival,departure,weight,"
+            "avg_quality,avg_backlog,mean_depth,verdict\n"
+            "0,0,yes,no,0,40,1,2.4974918933711185,3186.0765625,4.15,"
+            "divergent\n"
+            "1,1,yes,no,0,4,2,3.1931988571689898,1250.859375,5.25,"
+            "too-short\n"
+            "2,1,yes,yes,5,40,1,2.5095340678548133,3043.994642857143,"
+            "4.171428571428572,divergent\n"
+            "3,,no,no,6,6,2,,,,-\n"
+            "4,,no,no,100,100,1,,,,-\n");
 }
 
 }  // namespace

@@ -422,8 +422,10 @@ TEST(LinearFitTest, RecoversExactLine) {
 }
 
 TEST(LinearFitTest, DegenerateInputsGiveZeroFit) {
-  EXPECT_DOUBLE_EQ(fit_linear({1.0}, {2.0}).slope, 0.0);
-  EXPECT_DOUBLE_EQ(fit_linear({1, 1, 1}, {1, 2, 3}).slope, 0.0);  // sxx = 0
+  const std::vector<double> one_x{1.0}, one_y{2.0};
+  const std::vector<double> flat_x{1, 1, 1}, rising_y{1, 2, 3};
+  EXPECT_DOUBLE_EQ(fit_linear(one_x, one_y).slope, 0.0);
+  EXPECT_DOUBLE_EQ(fit_linear(flat_x, rising_y).slope, 0.0);  // sxx = 0
 }
 
 // --------------------------------------------------------------- Morton ----

@@ -191,6 +191,108 @@ TEST(MigrationTest, AbortedMigrationFallsBackToDisplacedPath) {
   EXPECT_FALSE(result.sessions[id].fault_evicted);
 }
 
+// ------------------------------------------------- external close path ----
+
+TEST(MigrationTest, CloseHitsTheCurrentSegmentAfterFailoverAndMigration) {
+  // Three equal links, round-robin: a -> link 0, b -> link 1, d -> link 2.
+  // Link 0 goes down, so a fails over onto link 1 under a minted runtime id;
+  // b then migrates to link 2 under another. Each close must land on the
+  // session's *current* segment, found by its recorded slab position.
+  ClusterConfig config;
+  config.serving = base_serving();
+  config.placement = PlacementPolicy::kRoundRobin;
+  const double load = cheapest_load(config.serving.candidates);
+  const std::vector<double> caps(3, 4.0 * load);
+  EdgeCluster cluster(config, caps);
+  const std::size_t a = cluster.submit(session_spec(0, kNeverDeparts, 1));
+  const std::size_t b = cluster.submit(session_spec(0, kNeverDeparts, 2));
+  const std::size_t d = cluster.submit(session_spec(0, kNeverDeparts, 3));
+  const std::size_t pending = cluster.submit(session_spec(150, 180, 4));
+  for (std::size_t t = 0; t < 5; ++t) cluster.step(caps);
+
+  ASSERT_TRUE(cluster.set_link_state(0, true));
+  cluster.step(caps);  // re-places a
+  ASSERT_EQ(cluster.failover_replaced(), 1U);
+  ASSERT_TRUE(cluster.migrate_session(b, 2));
+  for (std::size_t t = 0; t < 4; ++t) cluster.step(caps);
+  const std::size_t close_slot = cluster.slot();
+
+  EXPECT_TRUE(cluster.request_close(a));        // failed-over segment
+  EXPECT_TRUE(cluster.request_close(b));        // migrated segment
+  EXPECT_TRUE(cluster.request_close(pending));  // cancels before arrival
+  EXPECT_FALSE(cluster.request_close(a));       // second close: no-op
+  EXPECT_FALSE(cluster.request_close(b));
+  EXPECT_FALSE(cluster.request_close(pending));
+  cluster.step(caps);
+  EXPECT_EQ(cluster.link(1).active_count(), 0U);  // a left link 1
+  EXPECT_EQ(cluster.link(2).active_count(), 1U);  // only d streams on
+  EXPECT_FALSE(cluster.request_close(a));         // retired: still a no-op
+
+  for (std::size_t t = 0; t < 5; ++t) cluster.step(caps);
+  const ClusterResult result = cluster.finish();
+  const ClusterMetrics& m = result.metrics;
+  EXPECT_EQ(m.failover_displaced, 1U);
+  EXPECT_EQ(m.failover_displaced,
+            m.failover_replaced + m.fault_evicted + m.fault_closed);
+  EXPECT_EQ(m.migrations_requested, 1U);
+  EXPECT_EQ(m.migrations_requested,
+            m.migrations_completed + m.migrations_aborted);
+
+  const ClusterSessionOutcome& ra = result.sessions[a];
+  EXPECT_EQ(ra.link, 1);
+  EXPECT_EQ(ra.failovers, 1U);
+  EXPECT_EQ(ra.session.departure_slot, close_slot);
+  ASSERT_FALSE(ra.session.trace.empty());
+  EXPECT_EQ(ra.session.trace.at(ra.session.trace.size() - 1).t,
+            close_slot - 1);
+  const ClusterSessionOutcome& rb = result.sessions[b];
+  EXPECT_EQ(rb.link, 2);
+  EXPECT_EQ(rb.migrations, 1U);
+  EXPECT_EQ(rb.session.departure_slot, close_slot);
+  EXPECT_EQ(result.sessions[d].session.departure_slot, cluster.slot());
+  EXPECT_FALSE(result.sessions[pending].arrived);
+  EXPECT_FALSE(result.sessions[pending].session.arrived);
+}
+
+TEST(MigrationTest, CloseAtMismatchedSlabPositionTouchesNothing) {
+  // A standalone manager addresses submitted sessions by id == slab
+  // position; a session placed under a caller-assigned id is reachable only
+  // through the position try_place reported.
+  ServingConfig config = base_serving();
+  const double load = cheapest_load(config.candidates);
+  SessionManager manager(config, 4.0 * load);
+  const std::size_t first = manager.submit(session_spec(0, kNeverDeparts, 1));
+  const std::size_t second = manager.submit(session_spec(0, kNeverDeparts, 2));
+  manager.step(4.0 * load);
+  manager.begin_slot();
+  std::size_t placed_pos = 0;
+  ASSERT_TRUE(manager.try_place(session_spec(0, kNeverDeparts, 3), 1000,
+                                &placed_pos)
+                  .admitted);
+  EXPECT_EQ(placed_pos, 2U);
+  manager.decide_phase();
+  manager.finish_slot(4.0 * load);
+  ASSERT_EQ(manager.active_count(), 3U);
+
+  EXPECT_FALSE(manager.request_close(1000));             // no position 1000
+  EXPECT_FALSE(manager.request_close_at(first, second));  // id mismatch
+  EXPECT_FALSE(manager.request_close_at(placed_pos, first));
+  EXPECT_FALSE(manager.request_close_at(7, 7));           // out of range
+  manager.step(4.0 * load);
+  EXPECT_EQ(manager.active_count(), 3U);  // nobody was closed
+
+  EXPECT_TRUE(manager.request_close_at(placed_pos, 1000));
+  EXPECT_TRUE(manager.request_close(second));
+  EXPECT_FALSE(manager.request_close_at(placed_pos, 1000));
+  manager.step(4.0 * load);
+  EXPECT_EQ(manager.active_count(), 1U);
+  const ServingResult result = manager.finish();
+  EXPECT_EQ(result.sessions[first].departure_slot, 4U);  // ran to the end
+  EXPECT_EQ(result.sessions[second].departure_slot, 3U);
+  EXPECT_EQ(result.sessions[placed_pos].id, 1000U);
+  EXPECT_EQ(result.sessions[placed_pos].departure_slot, 3U);
+}
+
 // -------------------------------------------------- kLinkDegrade verb ----
 
 TEST(DegradeTest, DegradeShrinksAdmissionAndComposesWithCapacityScale) {

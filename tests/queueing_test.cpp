@@ -230,7 +230,7 @@ TEST(StabilityTest, DetectsBoundedPositive) {
 }
 
 TEST(StabilityTest, ValidatesInput) {
-  EXPECT_THROW(analyze_stability({1, 2, 3}), std::invalid_argument);
+  EXPECT_THROW(analyze_stability(std::vector<double>{1, 2, 3}), std::invalid_argument);
   const auto series = make_series(100, [](std::size_t) { return 1.0; });
   EXPECT_THROW(analyze_stability(series, 0.0), std::invalid_argument);
   EXPECT_THROW(analyze_stability(series, 1.5), std::invalid_argument);

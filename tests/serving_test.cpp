@@ -689,7 +689,7 @@ TEST(SessionManagerTest, ChurnBookkeeping) {
   EXPECT_EQ(result.fleet.sessions_admitted, 3U);
   EXPECT_EQ(result.fleet.sessions_rejected, 1U);
   EXPECT_EQ(result.fleet.peak_concurrency, 2U);
-  EXPECT_EQ(result.session_table.row_count(), 4U);
+  EXPECT_EQ(session_table(result).row_count(), 4U);
 
   EXPECT_THROW(manager.step(1.0), std::logic_error);
   EXPECT_THROW(manager.submit(spec), std::logic_error);
@@ -839,14 +839,12 @@ TEST(SessionManagerTest, ShortSessionGetsPartialSummary) {
   EXPECT_GT(result.fleet.quality_fairness, 0.0);
 
   // The report row carries the means and the "too-short" verdict.
-  EXPECT_EQ(std::get<std::string>(result.session_table.at(0, 8)),
-            "too-short");
-  EXPECT_TRUE(
-      std::holds_alternative<double>(result.session_table.at(0, 5)));
+  const CsvTable table = session_table(result);
+  EXPECT_EQ(std::get<std::string>(table.at(0, 8)), "too-short");
+  EXPECT_TRUE(std::holds_alternative<double>(table.at(0, 5)));
   // The full-horizon session keeps a real verdict.
-  EXPECT_NE(std::get<std::string>(result.session_table.at(1, 8)), "-");
-  EXPECT_NE(std::get<std::string>(result.session_table.at(1, 8)),
-            "too-short");
+  EXPECT_NE(std::get<std::string>(table.at(1, 8)), "-");
+  EXPECT_NE(std::get<std::string>(table.at(1, 8)), "too-short");
 }
 
 TEST(SessionManagerTest, OutOfOrderSubmissionsAdmitInArrivalOrder) {
