@@ -9,8 +9,8 @@ namespace arvis {
 
 // The edge scenario predates the serving runtime and survives as its
 // simplest special case: every device is a session arriving at slot 0 and
-// staying to the end, admission disabled, serial execution. The SharePolicy
-// enum maps onto the pluggable scheduler policies.
+// staying to the end, admission disabled. The SharePolicy enum maps onto
+// the pluggable scheduler policies.
 EdgeResult run_edge_scenario(const EdgeConfig& config,
                              const std::vector<const FrameStatsCache*>& caches,
                              ChannelModel& shared_channel) {
@@ -26,7 +26,6 @@ EdgeResult run_edge_scenario(const EdgeConfig& config,
                        ? SchedulerPolicy::kWorkConserving
                        : SchedulerPolicy::kEqualShare;
   serving.admission.enabled = false;
-  serving.threads = 1;
 
   std::vector<SessionSpec> specs;
   specs.reserve(caches.size());

@@ -77,30 +77,22 @@ const char* to_string(PlacementPolicy policy) noexcept {
 
 EdgeCluster::EdgeCluster(const ClusterConfig& config,
                          const std::vector<double>& link_mean_capacity_bytes)
-    : config_(config), executor_(config.serving.threads) {
+    : config_(config) {
   if (link_mean_capacity_bytes.empty()) {
     throw std::invalid_argument("EdgeCluster: need >= 1 link");
   }
-  // The links run their phases inline — the cluster's executor is the only
-  // fan-out point — so give each manager a serial (no-pool) executor. Each
-  // link gets its own telemetry lane: counters under "link<k>/", spans on
-  // Chrome tid k.
+  // Each link gets its own telemetry lane: counters under "link<k>/", spans
+  // on Chrome tid k.
   ServingConfig link_config = config_.serving;
-  link_config.threads = 1;
   links_.reserve(link_mean_capacity_bytes.size());
   for (double mean : link_mean_capacity_bytes) {
     link_config.telemetry.tid = static_cast<std::uint32_t>(links_.size());
     links_.push_back(std::make_unique<SessionManager>(link_config, mean));
   }
-  link_down_.assign(links_.size(), 0);
-  link_scale_.assign(links_.size(), 1.0);
-  link_degrade_scale_.assign(links_.size(), 1.0);
-  link_delay_.assign(links_.size(), 0.0);
-  link_effective_scale_.assign(links_.size(), 1.0);
+  link_state_.assign(links_.size(), LinkState{});
   handover_active_.assign(links_.size(), 0);
   handover_score_.assign(links_.size(), 0.0);
   prev_reserved_.assign(links_.size(), 0.0);
-  caps_scratch_.assign(links_.size(), 0.0);
   if (config_.handover.enabled) {
     const HandoverPolicy& hp = config_.handover;
     if (!std::isfinite(hp.enter_score) || !std::isfinite(hp.exit_score) ||
@@ -195,7 +187,7 @@ void EdgeCluster::rank_links(const Entry& entry) {
   // strict toggles, so the counters differ exactly while >= 1 link is down —
   // the fault-free path never pays for the scan.
   if (link_down_events_ != link_up_events_) {
-    std::erase_if(rank_, [this](std::size_t k) { return link_down_[k] != 0; });
+    std::erase_if(rank_, [this](std::size_t k) { return link_state_[k].down; });
   }
 }
 
@@ -280,8 +272,8 @@ std::size_t EdgeCluster::owner_of(std::size_t runtime_id) const {
 
 bool EdgeCluster::set_link_state(std::size_t link, bool down) {
   if (finished_ || link >= links_.size()) return false;
-  if ((link_down_[link] != 0) == down) return true;  // already there: no-op
-  link_down_[link] = down ? 1 : 0;
+  if (link_state_[link].down == down) return true;  // already there: no-op
+  link_state_[link].down = down;
   if (flight_ != nullptr) {
     flight_->record(FlightEventKind::kFault, slot_, kClusterTid,
                     static_cast<double>(link), down ? 0.0 : 1.0);
@@ -313,11 +305,8 @@ bool EdgeCluster::set_link_state(std::size_t link, bool down) {
 bool EdgeCluster::set_link_capacity_scale(std::size_t link, double scale) {
   if (finished_ || link >= links_.size()) return false;
   if (!(scale >= 0.0) || scale > 1e6) return false;  // rejects NaN too
-  link_scale_[link] = scale;
-  // ×1.0 degrade is the bitwise multiply identity, so without kLinkDegrade
-  // events the effective scale is exactly the operator scale.
-  link_effective_scale_[link] = scale * link_degrade_scale_[link];
-  links_[link]->set_capacity_scale(link_effective_scale_[link]);
+  link_state_[link].scale = scale;
+  links_[link]->set_capacity_scale(link_state_[link].effective_scale());
   if (flight_ != nullptr) {
     flight_->record(FlightEventKind::kFault, slot_, kClusterTid,
                     static_cast<double>(link), 2.0);
@@ -330,13 +319,10 @@ bool EdgeCluster::set_link_degrade(std::size_t link, double scale,
   if (finished_ || link >= links_.size()) return false;
   if (!(scale >= 0.0) || scale > 1e6) return false;  // rejects NaN too
   if (!(delay >= 0.0) || !std::isfinite(delay)) return false;
-  link_degrade_scale_[link] = scale;
-  link_delay_[link] = delay;
-  // Degradation compounds multiplicatively with any operator capacity
-  // scale; the recompute happens only here and in set_link_capacity_scale,
-  // never in the slot loop.
-  link_effective_scale_[link] = link_scale_[link] * scale;
-  links_[link]->set_capacity_scale(link_effective_scale_[link]);
+  LinkState& state = link_state_[link];
+  state.degrade_scale = scale;
+  state.delay = delay;
+  links_[link]->set_capacity_scale(state.effective_scale());
   ++link_degrade_events_;
   if (flight_ != nullptr) {
     flight_->record(FlightEventKind::kFault, slot_, kClusterTid,
@@ -413,7 +399,7 @@ bool EdgeCluster::do_migrate(std::size_t session_id, std::size_t target_link,
   Entry& e = *entries_[session_id];
   if (!e.admitted || e.displaced || e.fault_evicted || e.link < 0 ||
       static_cast<std::size_t>(e.link) == target_link ||
-      link_down_[target_link] != 0) {
+      link_state_[target_link].down) {
     return false;  // invalid input: nothing extracted, books never see it
   }
   const std::size_t from = static_cast<std::size_t>(e.link);
@@ -492,14 +478,14 @@ void EdgeCluster::evaluate_handover() {
     mean_util /= static_cast<double>(n);
   }
   for (std::size_t k = 0; k < n; ++k) {
-    double score = (1.0 - link_degrade_scale_[k]) +
-                   hp.delay_weight * link_delay_[k];
+    double score = (1.0 - link_state_[k].degrade_scale) +
+                   hp.delay_weight * link_state_[k].delay;
     if (hp.imbalance_weight > 0.0) {
       score += hp.imbalance_weight * std::max(0.0, utilization(k) - mean_util);
     }
     // A downed link already drained through the failover path; handover has
     // nothing left to move off it.
-    if (link_down_[k] != 0) score = 0.0;
+    if (link_state_[k].down) score = 0.0;
     handover_score_[k] = score;
     // Enter/exit hysteresis: a link starts shedding at enter_score and only
     // stops once it recovers to exit_score, so a score hovering at one
@@ -525,7 +511,7 @@ void EdgeCluster::evaluate_handover() {
   const auto pick_target = [&](std::size_t avoid) {
     int best = -1;
     for (std::size_t k = 0; k < n; ++k) {
-      if (k == avoid || link_down_[k] != 0 || handover_active_[k] != 0) {
+      if (k == avoid || link_state_[k].down || handover_active_[k] != 0) {
         continue;
       }
       if (best < 0) {
@@ -588,7 +574,7 @@ void EdgeCluster::evaluate_handover() {
   mean_reserved /= static_cast<double>(n);
   int freed = -1;
   for (std::size_t k = 0; k < n; ++k) {
-    if (link_down_[k] != 0 || handover_active_[k] != 0) continue;
+    if (link_state_[k].down || handover_active_[k] != 0) continue;
     const double now = links_[k]->admission().reserved_load();
     if (now >= prev_reserved_[k]) continue;  // nothing departed here
     if (now >= mean_reserved) continue;      // not underloaded
@@ -602,7 +588,7 @@ void EdgeCluster::evaluate_handover() {
   int donor = -1;
   double donor_load = -1.0;
   for (std::size_t k = 0; k < n; ++k) {
-    if (static_cast<int>(k) == freed || link_down_[k] != 0) continue;
+    if (static_cast<int>(k) == freed || link_state_[k].down) continue;
     if (links_[k]->active_count() == 0) continue;
     const double load = links_[k]->admission().reserved_load();
     if (load > donor_load) {
@@ -666,45 +652,20 @@ void EdgeCluster::step(const std::vector<double>& link_capacity_bytes) {
   //     lands on the displaced queue and re-enters placement next slot.
   if (config_.handover.enabled) evaluate_handover();
 
-  // 3. Decide. Serial executor: each link runs its incremental memoized
-  //    engine inline (group by exact inputs, blocked argmax per distinct
-  //    key). Parallel executor: all links' sessions fan out per (link,
-  //    index) pair through the one executor, each pair owning disjoint
-  //    state. Both produce bit-identical decisions for any thread count.
-  if (executor_.threads() > 1) {
-    const PhaseSpan span(tracer_, Phase::kDecide, slot_, kClusterTid);
-    decide_map_.clear();
-    for (std::size_t k = 0; k < links_.size(); ++k) {
-      const std::size_t width = links_[k]->decide_width();
-      for (std::size_t i = 0; i < width; ++i) {
-        decide_map_.emplace_back(static_cast<std::uint32_t>(k),
-                                 static_cast<std::uint32_t>(i));
-      }
-    }
-    executor_.parallel_for(decide_map_.size(), [this](std::size_t j) {
-      const auto [k, i] = decide_map_[j];
-      links_[k]->decide_session(i);
-    });
-  } else {
-    for (auto& link : links_) link->decide_all_sessions();
-  }
+  // 3. Decide: each link runs its incremental memoized engine (group by
+  //    exact inputs, blocked argmax per distinct key).
+  for (auto& link : links_) link->decide_all_sessions();
 
   // 4. Each link schedules and drains with its own capacity; the cluster
   //    records the fleet-wide slot totals. The fault plane shapes the
-  //    effective capacity here: a downed link offers zero (so utilization
-  //    never counts capacity nobody could use) and a faded link offers its
-  //    scaled draw. ×1.0 is the bitwise multiply identity, so with no
-  //    faults the totals are bit-for-bit the pre-fault-plane ones.
-  for (std::size_t k = 0; k < links_.size(); ++k) {
-    caps_scratch_[k] = link_down_[k] != 0
-                           ? 0.0
-                           : link_capacity_bytes[k] * link_effective_scale_[k];
-  }
+  //    effective capacity here (effective_capacity). ×1.0 is the bitwise
+  //    multiply identity, so with no faults the totals are bit-for-bit the
+  //    pre-fault-plane ones.
   double offered = 0.0, used = 0.0;
   std::size_t active = 0;
   for (std::size_t k = 0; k < links_.size(); ++k) {
-    const SessionManager::SlotReport report =
-        links_[k]->finish_slot(caps_scratch_[k]);
+    const SessionManager::SlotReport report = links_[k]->finish_slot(
+        effective_capacity(k, link_capacity_bytes[k]));
     offered += report.capacity_offered;
     used += report.capacity_used;
     active += report.active_sessions;
@@ -915,7 +876,9 @@ CsvTable session_table(const ClusterResult& result) {
                            : to_string(o.summary.stability.verdict))});
     } else {
       table.add_row({static_cast<std::int64_t>(o.id), link_cell(),
-                     std::string(o.admitted ? "yes" : "no"),
+                     std::string(!s.arrived    ? "never-arrived"
+                                 : o.admitted  ? "yes"
+                                               : "no"),
                      std::string(s.spilled ? "yes" : "no"),
                      static_cast<std::int64_t>(o.arrival_slot),
                      static_cast<std::int64_t>(o.departure_slot), o.weight,

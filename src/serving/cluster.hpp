@@ -16,11 +16,9 @@
 //   2. the cluster places this slot's arrivals: rank links by the placement
 //      policy, try admission in rank order (first choice, then up to
 //      spill_limit spills), refuse when every tried link rejects;
-//   3. decide: all links' active sessions fan out through ONE deterministic
-//      ParallelExecutor (each session touches only its own state, so any
-//      thread count is bit-identical to serial); each decide is the link's
-//      flattened SoA kernel (SessionStore::decide), so the fan-out walks
-//      dense arrays, not heap-scattered session objects;
+//   3. decide: every link runs its memoized decide engine
+//      (SessionManager::decide_all_sessions) on the calling thread — each
+//      session's controller stays local to its own state;
 //   4. every link schedules + drains with its own capacity draw — the
 //      scheduler consumes the link store's SoA spans in place (no
 //      demand-struct copy-in) — and per-link ServerMetrics roll up into the
@@ -96,8 +94,7 @@ struct HandoverPolicy {
 
 struct ClusterConfig {
   /// Per-link runtime configuration (scheduler policy, candidates, V,
-  /// admission target). `serving.threads` sizes the *cluster's* decide
-  /// executor; the per-link managers run their phases inline.
+  /// admission target), copied into every link's SessionManager.
   ServingConfig serving;
   PlacementPolicy placement = PlacementPolicy::kRoundRobin;
   /// Extra links an arrival may try after its first choice rejects it
@@ -206,8 +203,7 @@ struct ClusterResult {
 
 /// The sharded serving runtime. Submit sessions up front (or between steps),
 /// then drive it one slot at a time with one capacity draw per link;
-/// finish() closes the books. Not thread-safe — one cluster per run; the
-/// parallelism is inside step().
+/// finish() closes the books. Not thread-safe — one cluster per run.
 class EdgeCluster {
  public:
   /// `link_mean_capacity_bytes[k]` calibrates link k's admission controller
@@ -315,17 +311,17 @@ class EdgeCluster {
   bool migrate_session(std::size_t session_id, std::size_t target_link);
 
   [[nodiscard]] bool link_down(std::size_t link) const {
-    return link_down_.at(link) != 0;
+    return link_state_.at(link).down;
   }
   [[nodiscard]] double link_capacity_scale(std::size_t link) const {
-    return link_scale_.at(link);
+    return link_state_.at(link).scale;
   }
   [[nodiscard]] double link_degrade_scale(std::size_t link) const {
-    return link_degrade_scale_.at(link);
+    return link_state_.at(link).degrade_scale;
   }
   /// Reported per-slot delay of the last kLinkDegrade on `link` (0 nominal).
   [[nodiscard]] double link_delay(std::size_t link) const {
-    return link_delay_.at(link);
+    return link_state_.at(link).delay;
   }
   /// True while the HandoverPolicy holds `link` in handover (its sessions
   /// are migrating off).
@@ -384,6 +380,35 @@ class EdgeCluster {
  private:
   struct Entry;
 
+  /// One link's fault-plane state. All defaults are nominal; the idle cost
+  /// is one branch per link per slot and two ×1.0 multiplies, each the
+  /// bitwise identity.
+  struct LinkState {
+    bool down = false;
+    /// Operator capacity scale (set_link_capacity_scale).
+    double scale = 1.0;
+    /// kLinkDegrade capacity scale (set_link_degrade).
+    double degrade_scale = 1.0;
+    /// Reported per-slot delay of the last kLinkDegrade.
+    double delay = 0.0;
+    /// The factor both the admission budget and the per-slot capacity
+    /// consume. Degradation compounds multiplicatively with the operator
+    /// scale; ×1.0 is the bitwise identity, so without kLinkDegrade events
+    /// this is exactly the operator scale.
+    [[nodiscard]] double effective_scale() const noexcept {
+      return scale * degrade_scale;
+    }
+  };
+
+  /// Link k's capacity this slot for a channel draw of `draw` bytes: zero
+  /// while down (utilization never counts capacity nobody could use), the
+  /// scaled draw otherwise.
+  [[nodiscard]] double effective_capacity(std::size_t k,
+                                          double draw) const noexcept {
+    const LinkState& link = link_state_[k];
+    return link.down ? 0.0 : draw * link.effective_scale();
+  }
+
   void place_arrivals();
   void place_displaced();
   void rank_links(const Entry& entry);
@@ -406,7 +431,6 @@ class EdgeCluster {
   [[nodiscard]] std::size_t owner_of(std::size_t runtime_id) const;
 
   ClusterConfig config_;
-  ParallelExecutor executor_;
   std::vector<std::unique_ptr<SessionManager>> links_;
   std::vector<std::unique_ptr<Entry>> entries_;  // submission order
   // Not-yet-arrived entry indices, sorted by (due slot, id); the prefix
@@ -422,14 +446,10 @@ class EdgeCluster {
   std::size_t spills_ = 0;
   std::size_t placement_rejects_ = 0;
   // Scratch reused across slots.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> decide_map_;
   std::vector<std::size_t> rank_;
-  // -- Fault plane (all vectors preallocated; idle cost is one branch per
-  // link per slot and a ×1.0 capacity multiply, which is bitwise identity) --
-  std::vector<std::uint8_t> link_down_;  // 1 = down
-  std::vector<double> link_scale_;       // admission/capacity scale, 1 = nominal
-  std::vector<double> caps_scratch_;     // effective per-link capacity this slot
-  std::vector<std::size_t> displaced_;   // entry ids awaiting re-placement
+  // -- Fault plane --
+  std::vector<LinkState> link_state_;   // one per link
+  std::vector<std::size_t> displaced_;  // entry ids awaiting re-placement
   std::vector<EvictedSession> evict_scratch_;
   // Failover runtime ids are kFailoverIdBase + index into this owner map.
   std::vector<std::size_t> failover_owner_;
@@ -442,15 +462,7 @@ class EdgeCluster {
   std::size_t fault_evicted_ = 0;
   std::size_t fault_closed_ = 0;
   // -- Handover / live migration (vectors preallocated at construction;
-  // with the policy off the slot loop pays one branch, and the degrade
-  // factor folds into link_effective_scale_ at fault edges, so the
-  // fault-free capacity math is untouched bit for bit) --------------------
-  std::vector<double> link_degrade_scale_;  // kLinkDegrade scale, 1 = nominal
-  std::vector<double> link_delay_;          // reported per-slot delay
-  /// link_scale_ × link_degrade_scale_, the factor both the admission
-  /// budget and the per-slot capacity math consume (recomputed only at
-  /// fault edges).
-  std::vector<double> link_effective_scale_;
+  // with the policy off the slot loop pays one branch) ---------------------
   std::vector<std::uint8_t> handover_active_;  // hysteresis state, 1 = in
   std::vector<double> handover_score_;         // scratch: per-link score
   std::vector<double> prev_reserved_;  // reserved load before begin_slot

@@ -235,7 +235,7 @@ class WeightedPriorityScheduler final : public EdgeScheduler {
 /// cursor advances one position per slot so the quantization residue —
 /// whoever is visited first when capacity runs dry mid-round — does not
 /// favour a fixed index. The cursor is the policy's only cross-slot state
-/// and is deterministic, so runs stay bit-reproducible for any thread count.
+/// and is deterministic, so runs stay bit-reproducible.
 /// Zero-weight sessions are served from leftovers only (plain water-fill
 /// after every weighted demand is met).
 class DeficitRoundRobinScheduler final : public EdgeScheduler {

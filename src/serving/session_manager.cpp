@@ -14,10 +14,13 @@ SessionManager::SessionManager(const ServingConfig& config,
       mean_capacity_bytes_(mean_capacity_bytes),
       admission_(config.admission, mean_capacity_bytes),
       scheduler_(make_scheduler(config.policy)),
-      executor_(config.threads),
       store_(config.candidates, config.v) {
   if (config_.steps == 0) {
     throw std::invalid_argument("SessionManager: steps must be > 0");
+  }
+  if (config_.threads != 1) {
+    throw std::invalid_argument(
+        "SessionManager: threads must be 1 (decide runs on the caller)");
   }
   if (config_.candidates.empty()) {
     throw std::invalid_argument("SessionManager: empty candidate set");
@@ -466,9 +469,7 @@ SessionManager::SlotReport SessionManager::finish_slot(double capacity_bytes) {
 
 void SessionManager::step(double capacity_bytes) {
   begin_slot();
-  // Decide phase: the incremental engine when serial, the per-session
-  // executor fan-out when parallel — bit-identical decisions either way.
-  decide_phase();
+  decide_all_sessions();
   finish_slot(capacity_bytes);
 }
 

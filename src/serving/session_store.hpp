@@ -96,7 +96,7 @@ struct SessionSpec {
   /// Scheduler priority (>= 0; weighted policies only).
   double weight = 1.0;
   /// Seed of this session's private RNG stream (split per session so runs
-  /// are reproducible regardless of arrival order or thread count).
+  /// are reproducible regardless of arrival order).
   std::uint64_t seed = 0;
   /// QoS tier for SLO accounting: 0 = best-effort, 1 = standard,
   /// 2 = premium. Raw index (not the driver-layer QosClass enum — this layer
@@ -407,10 +407,11 @@ class SessionStore {
   // --- per-slot kernels ---------------------------------------------------
 
   /// The scalar flattened decide kernel: drift-plus-penalty argmax over
-  /// active session i's precomputed candidate row for this slot. Touches
-  /// only index-i state — safe to fan out across any executor — and performs
-  /// no allocation, no virtual dispatch, no transcendental math, no integer
-  /// division (the frame row is a cursor advanced by drain()).
+  /// active session i's precomputed candidate row for this slot — the
+  /// scalar reference decide_all() is tested against. Touches only index-i
+  /// state and performs no allocation, no virtual dispatch, no
+  /// transcendental math, no integer division (the frame row is a cursor
+  /// advanced by drain()).
   void decide(std::size_t i) noexcept {
     ARVIS_DCHECK_LT(i, active_.size());
     ARVIS_DCHECK_MSG(
@@ -442,9 +443,9 @@ class SessionStore {
 
   /// The incremental decide engine: one call decides every active session
   /// for this slot, bit-for-bit identical to calling decide(i) for each i
-  /// (asserted by the bench_hot_path oracle and the parallel==serial test,
-  /// whose threads>1 path still runs the scalar kernel). Groups sessions by
-  /// exact decide inputs, reuses the grouping across slots while the dirty
+  /// (asserted by the bench_hot_path oracle and the twin-store test in
+  /// serving_test, which runs decide(i) on a second store). Groups sessions
+  /// by exact decide inputs, reuses the grouping across slots while the dirty
   /// tracking proves it unchanged, and runs the blocked kernel once per
   /// distinct key. Serial by design — the grouping pass is a dependent scan.
   void decide_all();

@@ -1,38 +1,29 @@
 // Thread-stress subset (ctest -L thread; the TSan preset runs exactly these).
 //
-// Three contracts under deliberate contention:
-//   1. ParallelExecutor fan-outs at 2-8 threads stay bit-for-bit identical
-//      to the serial run — the determinism claim the cluster decide phase
-//      rests on (paper: distributed per-session controllers must not observe
-//      the fan-out width).
+// ParallelExecutor has one caller, replicate(), which fans whole seeds out
+// across cores. Three contracts under deliberate contention:
+//   1. replicate() at 2, 4 and 8 threads stays bit-for-bit identical to the
+//      serial run: every seed builds its own experiment, and traces are
+//      aggregated in seed order, so the fan-out width must not change a bit.
 //   2. TelemetryCounter::add is safe to call concurrently (relaxed atomic):
 //      hammered from every worker, the sum is exact, never torn or dropped.
 //   3. The executor's own machinery (claim loop, exception funnel, pool
 //      reuse) survives back-to-back jobs under TSan.
-//   4. Failover under a parallel decide fan-out: links flap while the
-//      cluster's decide phase runs at 2-8 threads — displaced sessions
-//      re-enter placement between fan-outs without racing (TSan) and
-//      without perturbing determinism (bit-identical to the serial run).
-//   5. Migration under a parallel decide fan-out: graded degradation roams
-//      across the links and the handover policy moves hot sessions between
-//      stores while decide runs at 2-8 threads — extract/inject of hot
-//      state must be race-free and leave the run bit-identical to serial.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "datasets/catalog.hpp"
+#include "lyapunov/depth_controller.hpp"
 #include "net/channel.hpp"
 #include "net/streaming.hpp"
-#include "serving/admission.hpp"
-#include "serving/cluster.hpp"
 #include "serving/executor.hpp"
-#include "serving/session_manager.hpp"
 #include "serving/telemetry/registry.hpp"
+#include "sim/replication.hpp"
 
 namespace arvis {
 namespace {
@@ -42,62 +33,31 @@ const FrameStatsCache& stress_cache() {
   return cache;
 }
 
-ServingConfig stress_config(std::size_t threads) {
-  ServingConfig config;
-  config.steps = 160;
-  config.candidates = {3, 4, 5, 6};
-  config.v = calibrate_streaming_v(stress_cache(), config.candidates,
-                                   4.0 * stress_cache().workload(0).bytes(5));
-  config.admission.enabled = false;  // everyone in: maximise the fan-out
-  config.threads = threads;
-  return config;
-}
+TEST(ConcurrencyStressTest, ParallelReplicateMatchesSerialAcrossThreadCounts) {
+  const auto factory = [](std::uint64_t seed) {
+    StreamingConfig config;
+    config.steps = 64;
+    config.candidates = {3, 4, 5, 6};
+    LyapunovDepthController controller(calibrate_streaming_v(
+        stress_cache(), config.candidates,
+        3.0 * stress_cache().workload(0).bytes(4)));
+    GilbertElliottChannel channel(stress_cache().workload(0).bytes(4) * 1.3,
+                                  0.4, 0.1, 0.3, Rng(seed));
+    return run_streaming_session(config, stress_cache(), controller, channel);
+  };
 
-std::vector<SessionSpec> churny_specs(std::size_t n, std::size_t steps) {
-  std::vector<SessionSpec> specs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    specs[i].cache = &stress_cache();
-    specs[i].seed = i;
-    specs[i].weight = (i % 3 == 0) ? 2.0 : 1.0;
-    // Staggered arrivals/departures so lifecycle edges land mid-run (the
-    // compaction paths run while the executor is in use).
-    specs[i].arrival_slot = (i % 5) * 7;
-    specs[i].departure_slot = (i % 4 == 0) ? steps / 2 + i : kNeverDeparts;
-  }
-  return specs;
-}
-
-ServingResult run_at(std::size_t threads, std::size_t n) {
-  ServingConfig config = stress_config(threads);
-  ConstantChannel channel(5.0e5);
-  return run_serving_scenario(config, churny_specs(n, config.steps), channel);
-}
-
-TEST(ConcurrencyStressTest, ParallelFanOutBitIdenticalAcrossThreadCounts) {
-  const std::size_t n = 96;
-  const ServingResult serial = run_at(1, n);
+  const ReplicationSummary serial = replicate(10, factory, 1);
   for (const std::size_t threads : {2UL, 4UL, 8UL}) {
-    const ServingResult parallel = run_at(threads, n);
-    ASSERT_EQ(parallel.sessions.size(), serial.sessions.size()) << threads;
-    for (std::size_t i = 0; i < n; ++i) {
-      const SessionOutcome& a = serial.sessions[i];
-      const SessionOutcome& b = parallel.sessions[i];
-      ASSERT_EQ(a.trace.size(), b.trace.size())
-          << "threads=" << threads << " session=" << i;
-      for (std::size_t t = 0; t < a.trace.size(); ++t) {
-        const StepRecord& x = a.trace.at(t);
-        const StepRecord& y = b.trace.at(t);
-        ASSERT_EQ(x.depth, y.depth)
-            << "threads=" << threads << " session=" << i << " slot=" << t;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(x.backlog_end),
-                  std::bit_cast<std::uint64_t>(y.backlog_end))
-            << "threads=" << threads << " session=" << i << " slot=" << t;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(x.quality),
-                  std::bit_cast<std::uint64_t>(y.quality))
-            << "threads=" << threads << " session=" << i << " slot=" << t;
-      }
-    }
-    EXPECT_EQ(parallel.fleet.capacity_used, serial.fleet.capacity_used);
+    const ReplicationSummary parallel = replicate(10, factory, threads);
+    EXPECT_EQ(serial.replicates, parallel.replicates) << threads;
+    EXPECT_EQ(serial.quality.mean, parallel.quality.mean) << threads;
+    EXPECT_EQ(serial.quality.ci_half_width, parallel.quality.ci_half_width)
+        << threads;
+    EXPECT_EQ(serial.backlog.mean, parallel.backlog.mean) << threads;
+    EXPECT_EQ(serial.backlog.min, parallel.backlog.min) << threads;
+    EXPECT_EQ(serial.backlog.max, parallel.backlog.max) << threads;
+    EXPECT_EQ(serial.mean_depth.mean, parallel.mean_depth.mean) << threads;
+    EXPECT_EQ(serial.divergent_count, parallel.divergent_count) << threads;
   }
 }
 
@@ -148,168 +108,6 @@ TEST(ConcurrencyStressTest, ExecutorSurvivesContendedReuseAndExceptions) {
   EXPECT_EQ(ran.load(), 512U);
   executor.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 51U);
-}
-
-ClusterResult run_flapping_cluster(std::size_t threads) {
-  ClusterConfig config;
-  config.serving = stress_config(threads);
-  config.serving.admission.enabled = true;  // failover needs real placement
-  config.serving.admission.utilization_target = 1.0;
-  config.placement = PlacementPolicy::kLeastLoaded;
-
-  const double load = AdmissionController::cheapest_depth_load(
-      stress_cache(), config.serving.candidates);
-  const std::size_t links = 4;
-  const std::vector<double> means(links, 8.4 * load);
-
-  EdgeCluster cluster(config, means);
-  for (const SessionSpec& spec : churny_specs(48, config.serving.steps)) {
-    cluster.submit(spec);
-  }
-  // Two links flap on different cadences, so re-placement waves land while
-  // earlier waves' sessions are still streaming on their fallback links.
-  for (std::size_t t = 0; t < config.serving.steps; ++t) {
-    if (t == 40) cluster.set_link_state(1, true);
-    if (t == 60) cluster.set_link_state(2, true);
-    if (t == 80) cluster.set_link_state(1, false);
-    if (t == 100) cluster.set_link_state(2, false);
-    if (t == 120) cluster.set_link_state(3, true);
-    cluster.step(means);
-  }
-  return cluster.finish();
-}
-
-TEST(ConcurrencyStressTest, FailoverUnderParallelDecideMatchesSerial) {
-  const ClusterResult serial = run_flapping_cluster(1);
-  // The flaps actually displaced sessions, and the books reconcile: every
-  // displaced session was re-placed, evicted, or closed.
-  ASSERT_GT(serial.metrics.failover_displaced, 0U);
-  EXPECT_EQ(serial.metrics.failover_displaced,
-            serial.metrics.failover_replaced + serial.metrics.fault_evicted +
-                serial.metrics.fault_closed);
-
-  for (const std::size_t threads : {2UL, 4UL, 8UL}) {
-    const ClusterResult parallel = run_flapping_cluster(threads);
-    EXPECT_EQ(parallel.metrics.failover_displaced,
-              serial.metrics.failover_displaced)
-        << threads;
-    EXPECT_EQ(parallel.metrics.failover_replaced,
-              serial.metrics.failover_replaced)
-        << threads;
-    EXPECT_EQ(parallel.metrics.fault_evicted, serial.metrics.fault_evicted)
-        << threads;
-    EXPECT_EQ(parallel.metrics.fault_closed, serial.metrics.fault_closed)
-        << threads;
-    ASSERT_EQ(parallel.sessions.size(), serial.sessions.size()) << threads;
-    for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-      const ClusterSessionOutcome& a = serial.sessions[i];
-      const ClusterSessionOutcome& b = parallel.sessions[i];
-      ASSERT_EQ(a.link, b.link) << "threads=" << threads << " session=" << i;
-      ASSERT_EQ(a.failovers, b.failovers)
-          << "threads=" << threads << " session=" << i;
-      ASSERT_EQ(a.fault_evicted, b.fault_evicted)
-          << "threads=" << threads << " session=" << i;
-      ASSERT_EQ(a.session.trace.size(), b.session.trace.size())
-          << "threads=" << threads << " session=" << i;
-      for (std::size_t t = 0; t < a.session.trace.size(); ++t) {
-        const StepRecord& x = a.session.trace.at(t);
-        const StepRecord& y = b.session.trace.at(t);
-        ASSERT_EQ(x.depth, y.depth)
-            << "threads=" << threads << " session=" << i << " slot=" << t;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(x.backlog_end),
-                  std::bit_cast<std::uint64_t>(y.backlog_end))
-            << "threads=" << threads << " session=" << i << " slot=" << t;
-      }
-    }
-    EXPECT_EQ(parallel.metrics.fleet.capacity_used,
-              serial.metrics.fleet.capacity_used)
-        << threads;
-  }
-}
-
-ClusterResult run_migrating_cluster(std::size_t threads) {
-  ClusterConfig config;
-  config.serving = stress_config(threads);
-  config.serving.admission.enabled = true;
-  config.serving.admission.utilization_target = 1.0;
-  config.placement = PlacementPolicy::kLeastLoaded;
-  config.handover.enabled = true;
-  config.handover.delay_weight = 0.1;
-  config.handover.rebalance_on_departure = true;
-
-  const double load = AdmissionController::cheapest_depth_load(
-      stress_cache(), config.serving.candidates);
-  const std::size_t links = 4;
-  const std::vector<double> means(links, 8.4 * load);
-
-  EdgeCluster cluster(config, means);
-  for (const SessionSpec& spec : churny_specs(48, config.serving.steps)) {
-    cluster.submit(spec);
-  }
-  // Graded degradation roams across the links (with one hard flap mixed in)
-  // so the handover policy migrates sessions while the decide fan-out is
-  // live: the hot-state extract/inject path must not race the executor and
-  // must not perturb determinism.
-  for (std::size_t t = 0; t < config.serving.steps; ++t) {
-    if (t == 30) cluster.set_link_degrade(0, 0.2, 3.0);
-    if (t == 60) cluster.set_link_degrade(0, 1.0, 0.0);
-    if (t == 60) cluster.set_link_degrade(2, 0.15, 4.0);
-    if (t == 80) cluster.set_link_state(1, true);
-    if (t == 100) cluster.set_link_state(1, false);
-    if (t == 110) cluster.set_link_degrade(2, 1.0, 0.0);
-    if (t == 120) cluster.set_link_degrade(3, 0.25, 2.0);
-    cluster.step(means);
-  }
-  return cluster.finish();
-}
-
-TEST(ConcurrencyStressTest, MigrationUnderParallelDecideMatchesSerial) {
-  const ClusterResult serial = run_migrating_cluster(1);
-  // The degradation actually triggered migrations, and the books are exact.
-  ASSERT_GT(serial.metrics.migrations_completed, 0U);
-  EXPECT_EQ(serial.metrics.migrations_requested,
-            serial.metrics.migrations_completed +
-                serial.metrics.migrations_aborted);
-  EXPECT_EQ(serial.metrics.failover_displaced,
-            serial.metrics.failover_replaced + serial.metrics.fault_evicted +
-                serial.metrics.fault_closed);
-
-  for (const std::size_t threads : {2UL, 4UL, 8UL}) {
-    const ClusterResult parallel = run_migrating_cluster(threads);
-    EXPECT_EQ(parallel.metrics.migrations_requested,
-              serial.metrics.migrations_requested)
-        << threads;
-    EXPECT_EQ(parallel.metrics.migrations_completed,
-              serial.metrics.migrations_completed)
-        << threads;
-    EXPECT_EQ(parallel.metrics.migrations_aborted,
-              serial.metrics.migrations_aborted)
-        << threads;
-    ASSERT_EQ(parallel.sessions.size(), serial.sessions.size()) << threads;
-    for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-      const ClusterSessionOutcome& a = serial.sessions[i];
-      const ClusterSessionOutcome& b = parallel.sessions[i];
-      ASSERT_EQ(a.link, b.link) << "threads=" << threads << " session=" << i;
-      ASSERT_EQ(a.migrations, b.migrations)
-          << "threads=" << threads << " session=" << i;
-      ASSERT_EQ(a.failovers, b.failovers)
-          << "threads=" << threads << " session=" << i;
-      ASSERT_EQ(a.session.trace.size(), b.session.trace.size())
-          << "threads=" << threads << " session=" << i;
-      for (std::size_t t = 0; t < a.session.trace.size(); ++t) {
-        const StepRecord& x = a.session.trace.at(t);
-        const StepRecord& y = b.session.trace.at(t);
-        ASSERT_EQ(x.depth, y.depth)
-            << "threads=" << threads << " session=" << i << " slot=" << t;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(x.backlog_end),
-                  std::bit_cast<std::uint64_t>(y.backlog_end))
-            << "threads=" << threads << " session=" << i << " slot=" << t;
-      }
-    }
-    EXPECT_EQ(parallel.metrics.fleet.capacity_used,
-              serial.metrics.fleet.capacity_used)
-        << threads;
-  }
 }
 
 }  // namespace

@@ -270,7 +270,7 @@ TEST(MigrationTest, CloseAtMismatchedSlabPositionTouchesNothing) {
                                 &placed_pos)
                   .admitted);
   EXPECT_EQ(placed_pos, 2U);
-  manager.decide_phase();
+  manager.decide_all_sessions();
   manager.finish_slot(4.0 * load);
   ASSERT_EQ(manager.active_count(), 3U);
 

@@ -1,7 +1,7 @@
 // Tests for the multi-session edge serving runtime: scheduler policy
-// invariants, admission boundaries, session churn bookkeeping, and the
-// determinism contract of the parallel executor (parallel == serial,
-// bit for bit).
+// invariants, admission boundaries, session churn bookkeeping, the
+// ParallelExecutor's claim/exception contract, and the memoized decide
+// engine against the scalar kernel (twin stores, bit for bit).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <variant>
 
@@ -18,11 +19,11 @@
 #include "net/channel.hpp"
 #include "net/streaming.hpp"
 #include "serving/admission.hpp"
+#include "serving/cluster.hpp"
 #include "serving/executor.hpp"
 #include "serving/metrics.hpp"
 #include "serving/scheduler.hpp"
 #include "serving/session_manager.hpp"
-#include "sim/replication.hpp"
 
 namespace arvis {
 namespace {
@@ -890,65 +891,20 @@ std::vector<SessionSpec> churn_specs(std::size_t n) {
   return specs;
 }
 
-TEST(SessionManagerTest, ParallelExecutionIsBitIdenticalToSerial) {
-  ServingConfig config = small_config();
-  config.steps = 150;
-  config.policy = SchedulerPolicy::kProportionalFair;
-  const auto specs = churn_specs(9);
-  const double capacity = 9.0 * shared_cache().workload(0).bytes(4);
-
-  config.threads = 1;
-  ConstantChannel ch_serial(capacity);
-  const ServingResult serial = run_serving_scenario(config, specs, ch_serial);
-  config.threads = 4;
-  ConstantChannel ch_parallel(capacity);
-  const ServingResult parallel =
-      run_serving_scenario(config, specs, ch_parallel);
-
-  ASSERT_EQ(serial.sessions.size(), parallel.sessions.size());
-  for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-    const Trace& a = serial.sessions[i].trace;
-    const Trace& b = parallel.sessions[i].trace;
-    ASSERT_EQ(a.size(), b.size()) << "session " << i;
-    for (std::size_t t = 0; t < a.size(); ++t) {
-      // Bit-exact equality, not approximate: the decide phase touches only
-      // per-session state, so thread count must not change a single bit.
-      EXPECT_EQ(a.at(t).depth, b.at(t).depth);
-      EXPECT_EQ(a.at(t).arrivals, b.at(t).arrivals);
-      EXPECT_EQ(a.at(t).service, b.at(t).service);
-      EXPECT_EQ(a.at(t).backlog_begin, b.at(t).backlog_begin);
-      EXPECT_EQ(a.at(t).backlog_end, b.at(t).backlog_end);
-      EXPECT_EQ(a.at(t).quality, b.at(t).quality);
-    }
+TEST(SessionManagerTest, ThreadsOtherThanOneThrow) {
+  // Decide runs on the calling thread; any other width is refused at the
+  // door rather than silently ignored — by the manager and by a cluster,
+  // which builds one manager per link from the same config.
+  for (const std::size_t threads : {0UL, 2UL}) {
+    ServingConfig config = small_config();
+    config.threads = threads;
+    EXPECT_THROW(SessionManager(config, 1e6), std::invalid_argument)
+        << threads;
+    ClusterConfig cluster;
+    cluster.serving = config;
+    EXPECT_THROW(EdgeCluster(cluster, {1e6, 1e6}), std::invalid_argument)
+        << threads;
   }
-  EXPECT_EQ(serial.fleet.quality_fairness, parallel.fleet.quality_fairness);
-  EXPECT_EQ(serial.fleet.total_time_average_backlog,
-            parallel.fleet.total_time_average_backlog);
-}
-
-TEST(ReplicationTest, ParallelReplicateMatchesSerialExactly) {
-  const auto factory = [](std::uint64_t seed) {
-    StreamingConfig config;
-    config.steps = 64;
-    config.candidates = {3, 4, 5, 6};
-    LyapunovDepthController controller(calibrate_streaming_v(
-        shared_cache(), config.candidates,
-        3.0 * shared_cache().workload(0).bytes(4)));
-    GilbertElliottChannel channel(shared_cache().workload(0).bytes(4) * 1.3,
-                                  0.4, 0.1, 0.3, Rng(seed));
-    return run_streaming_session(config, shared_cache(), controller, channel);
-  };
-
-  const ReplicationSummary serial = replicate(10, factory, 1);
-  const ReplicationSummary parallel = replicate(10, factory, 4);
-  EXPECT_EQ(serial.replicates, parallel.replicates);
-  EXPECT_EQ(serial.quality.mean, parallel.quality.mean);
-  EXPECT_EQ(serial.quality.ci_half_width, parallel.quality.ci_half_width);
-  EXPECT_EQ(serial.backlog.mean, parallel.backlog.mean);
-  EXPECT_EQ(serial.backlog.min, parallel.backlog.min);
-  EXPECT_EQ(serial.backlog.max, parallel.backlog.max);
-  EXPECT_EQ(serial.mean_depth.mean, parallel.mean_depth.mean);
-  EXPECT_EQ(serial.divergent_count, parallel.divergent_count);
 }
 
 TEST(SessionManagerTest, PfEwmaWindowValidationAndEffect) {
@@ -1115,85 +1071,199 @@ TEST(SessionStoreTest, ValidateDetectsSlabMirrorDivergence) {
   EXPECT_TRUE(store.validate().ok());
 }
 
-TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
-  // Regression for the decide-memo key scheme: memo entries are keyed by
-  // (interned table id, row offset), never by the row's address. The
-  // adversarial shape is sessions on *different* tables whose (row offset,
-  // backlog bits) collide exactly — fresh activations all start at row 0
-  // with backlog 0 — plus a table retired from use and re-interned mid-run.
-  // A key scheme that conflates tables would group them together and decide
-  // some sessions on the wrong table; every decision is therefore checked
-  // bit-for-bit against a twin store driven only by the scalar kernel.
-  const ServingConfig config = small_config();
-  SessionStore store(config.candidates, config.v);   // decide_all (memoized)
-  SessionStore oracle(config.candidates, config.v);  // decide(i) (scalar)
+/// Two stores fed identical lifecycle and drain inputs: `memo` decides with
+/// the memoized decide_all(), `scalar` with the scalar kernel decide(i).
+/// Every slot compares the two stores' decisions bit for bit, and
+/// expect_traces_identical() compares every session's full trace.
+class TwinStores {
+ public:
+  explicit TwinStores(const ServingConfig& config)
+      : memo_(config.candidates, config.v),
+        scalar_(config.candidates, config.v) {}
 
-  std::size_t next_id = 0;
-  const auto spawn = [&](const FrameStatsCache& cache, std::size_t count,
-                         std::size_t departure) {
+  /// Activates `count` sessions on `cache` in both stores at `slot`.
+  void spawn(const FrameStatsCache& cache, std::size_t count,
+             std::size_t slot, std::size_t departure, double weight = 1.0,
+             std::uint8_t qos = 1) {
     SessionSpec spec;
     spec.cache = &cache;
+    spec.arrival_slot = slot;
     spec.departure_slot = departure;
-    for (std::size_t k = 0; k < count; ++k, ++next_id) {
-      for (SessionStore* st : {&store, &oracle}) {
-        ServingSession& s = st->create(next_id, spec);
+    spec.weight = weight;
+    spec.qos = qos;
+    for (std::size_t k = 0; k < count; ++k, ++next_id_) {
+      for (SessionStore* st : {&memo_, &scalar_}) {
+        ServingSession& s = st->create(next_id_, spec);
         s.phase = SessionPhase::kActive;
-        st->activate(s, 0);
+        st->activate(s, slot);
       }
     }
-  };
-  const auto step = [&](std::size_t t) {
-    for (SessionStore* st : {&store, &oracle}) {
+  }
+
+  void set_tier_limits(std::span<const std::uint32_t> limits) {
+    memo_.set_tier_limits(limits);
+    scalar_.set_tier_limits(limits);
+  }
+
+  /// One slot: retire departures, decide in both stores, compare, then
+  /// drain each session with share(session id, decided arrivals).
+  template <class Share>
+  void step(std::size_t t, Share share) {
+    for (SessionStore* st : {&memo_, &scalar_}) {
       st->retire_departed(
           t, [](ServingSession& s) { s.phase = SessionPhase::kClosed; });
     }
-    store.decide_all();
-    for (std::size_t i = 0; i < oracle.active_count(); ++i) oracle.decide(i);
-    ASSERT_EQ(store.active_count(), oracle.active_count());
-    for (std::size_t i = 0; i < store.active_count(); ++i) {
-      // Identical per-session share so backlogs stay bit-identical too.
-      store.drain(i, t, 700.0, 0.0);
-      oracle.drain(i, t, 700.0, 0.0);
+    memo_.decide_all();
+    for (std::size_t i = 0; i < scalar_.active_count(); ++i) scalar_.decide(i);
+    ASSERT_EQ(memo_.active_count(), scalar_.active_count());
+    const std::span<const double> got = memo_.decided_arrivals();
+    const std::span<const double> want = scalar_.decided_arrivals();
+    for (std::size_t i = 0; i < memo_.active_count(); ++i) {
+      ASSERT_EQ(memo_.active_session(i).id, scalar_.active_session(i).id);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "slot " << t << " index " << i
+          << (memo_.last_decide_reused_groups() ? " (reuse)" : " (rebuild)");
     }
-    const Status ok = store.validate();
+    for (std::size_t i = 0; i < memo_.active_count(); ++i) {
+      const double s = share(memo_.active_session(i).id, got[i]);
+      memo_.drain(i, t, s, 0.0);
+      scalar_.drain(i, t, s, 0.0);
+    }
+    const Status ok = memo_.validate();
     ASSERT_TRUE(ok.ok()) << "slot " << t << ": " << ok.to_string();
-  };
+  }
 
-  spawn(shared_cache(), 3, 4);            // cohort A: table 0, departs at 4
-  spawn(alt_cache(), 3, kNeverDeparts);   // cohort B: table 1, same row/backlog
-  for (std::size_t t = 0; t < 4; ++t) step(t);
-  // Cohort A is gone; re-intern its table mid-run (must find table id 0, not
-  // mint a duplicate) alongside more sessions on table 1.
-  spawn(shared_cache(), 2, kNeverDeparts);
-  spawn(alt_cache(), 2, kNeverDeparts);
-  for (std::size_t t = 4; t < 12; ++t) step(t);
+  /// Drives the reuse path: `grow` slots with no service push every
+  /// backlog above any single slot's arrivals, then `hold` slots serve
+  /// exactly the decided arrivals, so every backlog keeps its bits (byte
+  /// counts are integral) while the frame rows advance — decide_all must
+  /// reuse its grouping and still match the scalar kernel.
+  void grow_then_hold(std::size_t& t, std::size_t grow, std::size_t hold) {
+    for (const std::size_t end = t + grow; t < end; ++t) {
+      step(t, [](std::size_t, double) { return 0.0; });
+    }
+    const std::uint64_t reuses = memo_.decide_group_reuses();
+    for (const std::size_t end = t + hold; t < end; ++t) {
+      step(t, [](std::size_t, double arrivals) { return arrivals; });
+    }
+    EXPECT_GE(memo_.decide_group_reuses() - reuses, hold - 1);
+    EXPECT_TRUE(memo_.last_decide_reused_groups());
+  }
 
-  // Bit-for-bit comparison of every surviving session's full trace.
-  ASSERT_EQ(store.session_count(), oracle.session_count());
-  for (std::size_t pos = 0; pos < store.session_count(); ++pos) {
-    const Trace& got = store.session(pos).trace;
-    const Trace& want = oracle.session(pos).trace;
-    ASSERT_EQ(got.size(), want.size()) << "session " << pos;
-    for (std::size_t t = 0; t < got.size(); ++t) {
-      const StepRecord& g = got.at(t);
-      const StepRecord& w = want.at(t);
-      EXPECT_EQ(g.depth, w.depth) << "session " << pos << " slot " << t;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(g.arrivals),
-                std::bit_cast<std::uint64_t>(w.arrivals));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(g.quality),
-                std::bit_cast<std::uint64_t>(w.quality));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(g.backlog_end),
-                std::bit_cast<std::uint64_t>(w.backlog_end));
+  void expect_traces_identical() {
+    ASSERT_EQ(memo_.session_count(), scalar_.session_count());
+    for (std::size_t pos = 0; pos < memo_.session_count(); ++pos) {
+      const Trace& got = memo_.session(pos).trace;
+      const Trace& want = scalar_.session(pos).trace;
+      ASSERT_EQ(got.size(), want.size()) << "session " << pos;
+      for (std::size_t t = 0; t < got.size(); ++t) {
+        const StepRecord& g = got.at(t);
+        const StepRecord& w = want.at(t);
+        EXPECT_EQ(g.depth, w.depth) << "session " << pos << " slot " << t;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(g.arrivals),
+                  std::bit_cast<std::uint64_t>(w.arrivals));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(g.quality),
+                  std::bit_cast<std::uint64_t>(w.quality));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(g.backlog_end),
+                  std::bit_cast<std::uint64_t>(w.backlog_end));
+      }
     }
   }
-  // The engine rebuilt across the lifecycle edges above; now exercise the
-  // reuse path too: with no drain or churn since the previous call, the
-  // second decide_all must reuse the grouping (and still match the oracle).
-  EXPECT_GT(store.decide_group_rebuilds(), 0U);
-  store.decide_all();  // rebuilds: the last drain dirtied the backlogs
-  store.decide_all();  // provably unchanged since -> reuse
-  EXPECT_TRUE(store.last_decide_reused_groups());
-  EXPECT_GT(store.decide_group_reuses(), 0U);
+
+  SessionStore& memo() { return memo_; }
+
+ private:
+  SessionStore memo_;
+  SessionStore scalar_;
+  std::size_t next_id_ = 0;
+};
+
+TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
+  // The memoized engine against the scalar kernel, regime by regime, on
+  // the rebuild path (every slot whose drain moved a backlog) and the reuse
+  // path (grow_then_hold). The first regime is the regression for the
+  // decide-memo key scheme: memo entries are keyed by (interned table id,
+  // row offset), never by the row's address. The adversarial shape is
+  // sessions on *different* tables whose (row offset, backlog bits) collide
+  // exactly — fresh activations all start at row 0 with backlog 0 — plus a
+  // table retired from use and re-interned mid-run. A key scheme that
+  // conflates tables would group them together and decide some sessions on
+  // the wrong table.
+  const ServingConfig config = small_config();
+  const auto uniform = [](std::size_t, double) { return 700.0; };
+  {
+    SCOPED_TRACE("two tables, one re-interned");
+    TwinStores twin(config);
+    twin.spawn(shared_cache(), 3, 0, 4);  // cohort A: table 0, departs at 4
+    twin.spawn(alt_cache(), 3, 0, kNeverDeparts);  // B: table 1, same keys
+    std::size_t t = 0;
+    for (; t < 4; ++t) twin.step(t, uniform);
+    // Cohort A is gone; re-intern its table mid-run (must find table id 0,
+    // not mint a duplicate) alongside more sessions on table 1.
+    twin.spawn(shared_cache(), 2, t, kNeverDeparts);
+    twin.spawn(alt_cache(), 2, t, kNeverDeparts);
+    for (; t < 12; ++t) twin.step(t, uniform);
+    EXPECT_GT(twin.memo().decide_group_rebuilds(), 0U);
+    twin.grow_then_hold(t, 8, 6);
+    twin.expect_traces_identical();
+  }
+  {
+    SCOPED_TRACE("same-table cohort");
+    TwinStores twin(config);
+    twin.spawn(shared_cache(), 16, 0, kNeverDeparts);
+    std::size_t t = 0;
+    for (; t < 12; ++t) {
+      twin.step(t, uniform);
+      // One activation, one share: the whole cohort is one decide key.
+      EXPECT_EQ(twin.memo().last_decide_groups(), 1U) << "slot " << t;
+    }
+    twin.grow_then_hold(t, 8, 6);
+    twin.expect_traces_identical();
+  }
+  {
+    SCOPED_TRACE("weighted sessions under tier ceilings");
+    TwinStores twin(config);
+    const double weights[] = {0.0, 0.5, 1.0, 2.0};
+    for (std::size_t k = 0; k < 12; ++k) {
+      twin.spawn(k % 2 == 0 ? shared_cache() : alt_cache(), 1, 0,
+                 kNeverDeparts, weights[k % 4],
+                 static_cast<std::uint8_t>(k % 3));
+    }
+    // Weighted shares: what a weight-aware scheduler hands out.
+    const auto weighted = [&](std::size_t id, double) {
+      return 150.0 + 400.0 * weights[id % 4];
+    };
+    std::size_t t = 0;
+    for (; t < 6; ++t) twin.step(t, weighted);
+    const std::uint32_t brownout[] = {2, 3, 4};
+    twin.set_tier_limits(brownout);  // ceilings are part of the decide key
+    for (; t < 12; ++t) twin.step(t, weighted);
+    twin.grow_then_hold(t, 8, 6);
+    const std::uint32_t nominal[] = {4, 4, 4};
+    twin.set_tier_limits(nominal);
+    for (; t < 30; ++t) twin.step(t, weighted);
+    twin.expect_traces_identical();
+  }
+  {
+    SCOPED_TRACE("churn with unequal drain shares");
+    TwinStores twin(config);
+    // Shares repeat every 5 ids, so each wave holds duplicate keys that are
+    // not adjacent in the active list (the hash path, not the cohort run).
+    const auto unequal = [](std::size_t id, double) {
+      return 250.0 + 90.0 * static_cast<double>(id % 5);
+    };
+    std::size_t t = 0;
+    for (std::size_t wave = 0; wave < 4; ++wave) {
+      twin.spawn(wave % 2 == 0 ? shared_cache() : alt_cache(), 10, t,
+                 wave == 0 ? 9 : kNeverDeparts);
+      twin.spawn(shared_cache(), 3, t, t + 2 + wave);
+      for (const std::size_t end = t + 4; t < end; ++t) twin.step(t, unequal);
+    }
+    for (; t < 24; ++t) twin.step(t, unequal);
+    twin.grow_then_hold(t, 10, 6);
+    twin.expect_traces_identical();
+  }
 }
 
 TEST(ServingScenarioTest, AdmissionKeepsFleetStable) {
